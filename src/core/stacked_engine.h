@@ -16,14 +16,6 @@
 //    feed-forward ping-pong buffers are reserved with the layers);
 //  * h/c state is caller-owned, one (B x dh) pair per layer, bound per
 //    call — the serving layer passes a session's own matrices through.
-//
-// step_layer() exposes a single layer's step so the serving shard can
-// pipeline layers across consecutive steps (layer l of step t runs
-// while layer l-1 of step t+1 runs — serve/shard.cc): concurrent
-// flights always occupy DIFFERENT layers, and distinct layers are
-// distinct SparseLstmEngine instances with disjoint scratch, so the
-// wavefront needs no locking and stays bit-identical to the sequential
-// schedule.
 #pragma once
 
 #include <deque>
@@ -64,15 +56,6 @@ class StackedEngine {
   /// Dense-matvec reference; must match step() bit-for-bit.
   void step_dense(const num::Matrix& x, std::span<num::Matrix> h,
                   std::span<num::Matrix> c, num::Matrix* dense_top = nullptr);
-
-  /// One layer's step, for the serving wavefront: `input` is the model
-  /// input (l == 0) or the previous layer's dense h; `dense_h` must be
-  /// non-null for l < layers()-1 (it feeds layer l+1) and taps the
-  /// classifier view off the top layer.
-  void step_layer(num::Index l, const num::Matrix& input, num::Matrix& h,
-                  num::Matrix& c, num::Matrix* dense_h) {
-    layers_[static_cast<std::size_t>(l)].step(input, h, c, dense_h);
-  }
 
   /// Pre-grows every layer and the feed-forward buffers for batches up
   /// to `max_batch` (same steady-state contract as the single-layer

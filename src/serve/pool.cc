@@ -46,8 +46,7 @@ std::unique_ptr<EngineShard> EnginePool::make_shard() const {
   model.name = model_name_;
   model.vocab = model_vocab_;
   return std::make_unique<EngineShard>(model, config_.policy, config_.encoder,
-                                       config_.session_ttl, config_.quant,
-                                       config_.pipeline);
+                                       config_.session_ttl, config_.quant);
 }
 
 void EnginePool::build_shards(const PoolConfig& config) {

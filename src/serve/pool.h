@@ -67,10 +67,6 @@ struct PoolConfig {
   /// quantized mode (core::QuantConfig::int8()); shard-count
   /// determinism holds for both (tests/serve/shard_determinism_test.cc).
   core::QuantConfig quant;
-  /// Layer-pipelined flush on multi-layer models (serve/shard.h's
-  /// wavefront). Ignored for single-layer models. Bit-identical to the
-  /// sequential schedule at any shard count — only wall-clock changes.
-  bool pipeline = false;
 };
 
 class EnginePool {

@@ -124,11 +124,10 @@ struct Session {
   std::uint64_t generation = 0;
   /// Arrival stamp of the last request that touched this session.
   std::int64_t last_arrival_us = 0;
-  /// Pin count held by the shard while this session is a lane of a
-  /// batch being served; pinned (> 0) sessions are never evicted or
-  /// swept. A count, not a flag: with layer pipelining one session can
-  /// be a lane of two in-flight batches at once (serve/shard.cc).
-  num::Index pinned = 0;
+  /// Held by the shard while this session is a lane of the batch being
+  /// served; pinned sessions are never evicted or swept. A batch is
+  /// conflict-free (serve/batcher.h), so a flag suffices.
+  bool pinned = false;
 
  private:
   friend class SessionStore;

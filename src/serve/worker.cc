@@ -8,12 +8,14 @@ namespace zss::serve {
 
 namespace {
 
-std::function<std::int64_t()> steady_clock_since_now() {
+/// Steady clock reading `origin_us` now and advancing in real time.
+std::function<std::int64_t()> steady_clock_from(std::int64_t origin_us) {
   const auto t0 = std::chrono::steady_clock::now();
-  return [t0] {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
+  return [t0, origin_us] {
+    return origin_us +
+           std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - t0)
-        .count();
+               .count();
   };
 }
 
@@ -210,8 +212,9 @@ void ShardWorker::run(Control& c) {
 
 LiveServer::LiveServer(EnginePool& pool, ResponseSink sink, LiveConfig config)
     : pool_(&pool),
-      now_(config.now_us ? std::move(config.now_us)
-                         : steady_clock_since_now()),
+      now_(config.now_us
+               ? std::move(config.now_us)
+               : steady_clock_from(pool.recovered_max_arrival_us())),
       max_queue_(config.max_queue),
       deadline_us_(config.deadline_us),
       record_(config.record) {
@@ -219,7 +222,10 @@ LiveServer::LiveServer(EnginePool& pool, ResponseSink sink, LiveConfig config)
   // A recovered pool's sessions carry arrival stamps from the previous
   // incarnation; stamping below them would break the monotone-arrival
   // premise every eviction argument rests on (serve/session.h), so the
-  // recovered maximum becomes this clock's floor.
+  // recovered maximum becomes this clock's floor. The default clock
+  // also starts there, so stamps and the batcher's max-wait deadline
+  // share one timebase — a clock restarted at 0 would hold every
+  // partial batch until it caught up with the previous uptime.
   last_stamp_ = pool.recovered_max_arrival_us();
   counted_sink_ = [this, user_sink = std::move(sink)](const Response& r) {
     if (r.timed_out) {

@@ -92,7 +92,8 @@ std::int64_t mono_now_us();
 
 struct LiveConfig {
   /// Clock used for arrival stamps and serve instants, in microseconds.
-  /// Empty = steady clock, zeroed at LiveServer construction. Tests may
+  /// Empty = steady clock that reads the pool's recovered newest arrival
+  /// stamp (0 on a fresh pool) at LiveServer construction. Tests may
   /// inject a fake — condvar waits time out on the real clock, but the
   /// max-wait deadline is computed in this clock's timebase, so a fake
   /// clock moves batch boundaries only (which the determinism guarantee

@@ -10,6 +10,7 @@
 #include "nn/lstm_cell.h"
 #include "num/rng.h"
 #include "serve/protocol.h"
+#include "serve/worker.h"
 
 // Serving-level crash recovery (docs/serving.md "Crash recovery"): a
 // journaled pool killed at ANY byte offset of any shard's journal and
@@ -272,6 +273,30 @@ TEST_F(JournalRecoveryTest, RebuildShardRecoversExactlyItsOwnSessions) {
     d2.settle();
   }
   expect_tables_equal(want, pool.merged_digests(), "served after rebuild");
+}
+
+TEST_F(JournalRecoveryTest, LiveClockStartsAtRecoveredFloor) {
+  // A restarted server stamps arrivals at or above the recovered newest
+  // stamp. Its default clock must start there too, or the batcher's
+  // max-wait deadline (now - oldest arrival) stays negative until the
+  // new clock catches up with the previous uptime, and every partial
+  // batch waits that long.
+  store::MemEnv env;
+  PoolConfig config = base_config(1);
+  config.spill.dir = "clk";
+  config.spill.env = &env;
+  config.spill.journal = true;
+  const std::int64_t uptime_us = 1'000'000'000;  // >> max_wait_us
+  {
+    EnginePool pool(cell_, pruner_, config);
+    Driver d(pool, uptime_us);
+    for (SessionId sid = 1; sid <= kSessions; ++sid) d.step(sid, 0);
+    d.settle();
+  }
+  EnginePool pool(cell_, pruner_, config);
+  ASSERT_GT(pool.recovered_max_arrival_us(), uptime_us);
+  LiveServer server(pool, [](const Response&) {});
+  EXPECT_GE(server.now_us(), pool.recovered_max_arrival_us());
 }
 
 }  // namespace

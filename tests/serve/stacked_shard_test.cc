@@ -14,12 +14,13 @@
 
 // Multi-layer serving determinism: an L-layer model served through the
 // pool must be bit-identical to a batch-of-one StackedEngine oracle —
-// at any shard count, any max_batch, with the layer-pipelined wavefront
-// on or off, at any parallel_for thread count, with or without an
-// embedding input mapping, and under TTL/cap churn (the wavefront's
-// hazard fences). The wavefront only runs inside EngineShard::flush(),
-// so these tests drive pool.flush directly (replay settles through
-// process_ready and never pipelines — serve/trace.cc).
+// at any shard count, any max_batch, at any parallel_for thread count,
+// with or without an embedding input mapping, fp32 or int8. Under
+// TTL/cap churn (which the oracle does not model) shard counts and
+// batch sizes must agree with the 1-shard run. These tests drive
+// EngineShard::flush() directly — the drain path of the live `flush`
+// verb and shutdown (replay settles through process_ready —
+// serve/trace.cc).
 namespace zss::serve {
 namespace {
 
@@ -39,8 +40,8 @@ class StackedShardTest : public ::testing::Test {
   StackedShardTest() : rng_(161803) {
     trace_ = synthetic_trace(/*requests=*/180, /*sessions=*/7, /*vocab=*/kDx,
                              /*mean_gap_us=*/40, rng_);
-    // Back-to-back same-session arrivals: under pipelining this queues
-    // one session into two consecutive flights (the pinned-count path).
+    // Back-to-back same-session arrivals: each one ends its batch at a
+    // same-session conflict (serve/batcher.h).
     for (int k = 0; k < 4; ++k) {
       TraceEvent e;
       e.arrival_us = trace_.back().arrival_us;
@@ -102,16 +103,15 @@ class StackedShardTest : public ::testing::Test {
     }
   }
 
-  /// Enqueues the whole trace and flushes once — the path that runs
-  /// the wavefront when `pipeline` is set.
-  void run_flush(num::Index shards, num::Index max_batch, bool pipeline,
-                 OutputLog& stored, OutputLog& dense,
-                 SessionTtl ttl = {}) {
+  /// Enqueues the whole trace and flushes every shard once.
+  void run_flush(num::Index shards, num::Index max_batch, OutputLog& stored,
+                 OutputLog& dense, SessionTtl ttl = {},
+                 core::QuantConfig quant = {}) {
     PoolConfig config;
     config.shards = shards;
     config.policy.max_batch = max_batch;
     config.session_ttl = ttl;
-    config.pipeline = pipeline;
+    config.quant = quant;
     EnginePool pool(model(), config);
     std::uint64_t seq = 0;
     for (const TraceEvent& e : trace_) {
@@ -142,120 +142,101 @@ class StackedShardTest : public ::testing::Test {
   std::vector<TraceEvent> trace_;
 };
 
-TEST_F(StackedShardTest, LayerSweepPipelineOnOffMatchesOracleBitwise) {
+TEST_F(StackedShardTest, LayerSweepMatchesOracleBitwise) {
   for (const num::Index layers : {1, 2, 3}) {
     build(layers);
     OutputLog want_stored, want_dense;
     oracle(layers, want_stored, want_dense);
-    for (const bool pipeline : {false, true}) {
-      for (const num::Index shards : {1, 2}) {
-        OutputLog stored, dense;
-        run_flush(shards, /*max_batch=*/8, pipeline, stored, dense);
-        EXPECT_EQ(stored, want_stored)
-            << "layers " << layers << " pipeline " << pipeline << " shards "
-            << shards;
-        EXPECT_EQ(dense, want_dense)
-            << "dense tap: layers " << layers << " pipeline " << pipeline
-            << " shards " << shards;
-      }
+    for (const num::Index shards : {1, 2}) {
+      OutputLog stored, dense;
+      run_flush(shards, /*max_batch=*/8, stored, dense);
+      EXPECT_EQ(stored, want_stored)
+          << "layers " << layers << " shards " << shards;
+      EXPECT_EQ(dense, want_dense)
+          << "dense tap: layers " << layers << " shards " << shards;
     }
   }
 }
 
-TEST_F(StackedShardTest, WavefrontWithWorkerThreadsMatchesSequential) {
-  // The actual overlap: 3 layers, up to 3 flights ticking concurrently
-  // on parallel_for workers. Values must not move.
+TEST_F(StackedShardTest, WorkerThreadsMatchOracleBitwise) {
+  // parallel_for splits kernel rows across workers. Values must not
+  // move.
   build(3);
   OutputLog want_stored, want_dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/false, want_stored,
-            want_dense);
+  oracle(3, want_stored, want_dense);
   for (const int threads : {2, 4}) {
     ThreadGuard guard(threads);
     OutputLog stored, dense;
-    run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/true, stored,
-              dense);
+    run_flush(/*shards=*/1, /*max_batch=*/4, stored, dense);
     EXPECT_EQ(stored, want_stored) << "threads " << threads;
     EXPECT_EQ(dense, want_dense) << "threads " << threads;
   }
 }
 
-TEST_F(StackedShardTest, WavefrontBatchSizeSweepBitwiseIdentical) {
+TEST_F(StackedShardTest, BatchSizeSweepMatchesOracleBitwise) {
   build(2);
   OutputLog want_stored, want_dense;
   oracle(2, want_stored, want_dense);
   for (const num::Index max_batch : {1, 2, 3, 8}) {
     OutputLog stored, dense;
-    run_flush(/*shards=*/1, max_batch, /*pipeline=*/true, stored, dense);
+    run_flush(/*shards=*/1, max_batch, stored, dense);
     EXPECT_EQ(stored, want_stored) << "max_batch " << max_batch;
   }
 }
 
-TEST_F(StackedShardTest, PipelineUnderTtlChurnMatchesSequential) {
-  // Lazy TTL resets force the wavefront's admission fence (an admit
-  // that would reset a pinned session must drain first). The fence is
-  // allowed to change batch boundaries, never values.
+TEST_F(StackedShardTest, TtlChurnShardAndBatchInvariant) {
+  // Lazy TTL resets depend only on a session's own arrivals, so they
+  // may not change with shard count or batch size.
   build(2);
   SessionTtl ttl;
   ttl.ttl_us = 900;  // several resets over the ~7200us trace
   OutputLog want_stored, want_dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/false, want_stored,
-            want_dense, ttl);
+  run_flush(/*shards=*/1, /*max_batch=*/4, want_stored, want_dense, ttl);
   ThreadGuard guard(3);
-  OutputLog stored, dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/true, stored, dense,
-            ttl);
-  EXPECT_EQ(stored, want_stored);
-  EXPECT_EQ(dense, want_dense);
+  for (const num::Index shards : {1, 2}) {
+    for (const num::Index max_batch : {1, 4}) {
+      OutputLog stored, dense;
+      run_flush(shards, max_batch, stored, dense, ttl);
+      EXPECT_EQ(stored, want_stored)
+          << "shards " << shards << " max_batch " << max_batch;
+      EXPECT_EQ(dense, want_dense)
+          << "shards " << shards << " max_batch " << max_batch;
+    }
+  }
 }
 
-TEST_F(StackedShardTest, PipelineUnderSessionCapMatchesSequential) {
-  // A capped store under pipelining: eviction may never hit a pinned
-  // lane (max_sessions > layers * max_batch is construction-enforced).
+TEST_F(StackedShardTest, SessionCapBatchInvariant) {
+  // A capped store: eviction may never hit a pinned lane
+  // (max_sessions > max_batch is construction-enforced), and the LRU
+  // victim depends only on the request prefix, never on batch size.
+  // The cap is per shard, so only batch sizes are compared.
   build(2);
   SessionTtl ttl;
   ttl.ttl_us = 1500;
-  ttl.max_sessions = 9;  // > 2 layers * 4 max_batch
+  ttl.max_sessions = 9;
   OutputLog want_stored, want_dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/false, want_stored,
-            want_dense, ttl);
+  run_flush(/*shards=*/1, /*max_batch=*/4, want_stored, want_dense, ttl);
   ThreadGuard guard(2);
-  OutputLog stored, dense;
-  run_flush(/*shards=*/1, /*max_batch=*/4, /*pipeline=*/true, stored, dense,
-            ttl);
-  EXPECT_EQ(stored, want_stored);
+  for (const num::Index max_batch : {1, 2, 8}) {
+    OutputLog stored, dense;
+    run_flush(/*shards=*/1, max_batch, stored, dense, ttl);
+    EXPECT_EQ(stored, want_stored) << "max_batch " << max_batch;
+  }
 }
 
 TEST_F(StackedShardTest, QuantStackedShardSweepBitwiseIdentical) {
   build(2);
-  auto run_quant = [&](num::Index shards, bool pipeline) {
-    PoolConfig config;
-    config.shards = shards;
-    config.policy.max_batch = 8;
-    config.quant = core::QuantConfig::int8();
-    config.pipeline = pipeline;
-    EnginePool pool(model(), config);
-    std::uint64_t seq = 0;
-    for (const TraceEvent& e : trace_) {
-      Request r;
-      r.session = e.session;
-      r.token = e.token;
-      r.arrival_us = e.arrival_us;
-      r.seq = seq++;
-      pool.enqueue(r);
+  const core::QuantConfig int8 = core::QuantConfig::int8();
+  OutputLog want, want_dense;
+  run_flush(/*shards=*/1, /*max_batch=*/8, want, want_dense, {}, int8);
+  for (const num::Index shards : {1, 2}) {
+    for (const num::Index max_batch : {1, 3}) {
+      OutputLog stored, dense;
+      run_flush(shards, max_batch, stored, dense, {}, int8);
+      EXPECT_EQ(stored, want)
+          << "shards " << shards << " max_batch " << max_batch;
     }
-    OutputLog log;
-    const ResponseSink sink = [&](const Response& r) {
-      log[r.session].emplace_back(r.h.begin(), r.h.end());
-    };
-    for (num::Index s = 0; s < shards; ++s) {
-      pool.shard(s).flush(trace_.back().arrival_us + 1, sink);
-    }
-    return log;
-  };
-  const OutputLog want = run_quant(1, false);
-  EXPECT_EQ(run_quant(2, false), want);
-  EXPECT_EQ(run_quant(1, true), want);
-  EXPECT_EQ(run_quant(2, true), want);
+  }
 }
 
 TEST_F(StackedShardTest, EmbeddingInputMapsTokensToRows) {
@@ -313,25 +294,6 @@ TEST_F(StackedShardTest, EmbeddingInputMapsTokensToRows) {
     want[e.session].emplace_back(row.begin(), row.end());
   }
   EXPECT_EQ(stored, want);
-}
-
-TEST_F(StackedShardTest, PipelineActuallyOverlapped) {
-  // Guard against the wavefront silently degrading to sequential: with
-  // pipelining on, the shard must report pipeline() and serve the
-  // trace (the overlap itself is proven by the bit-identity tests
-  // above running at threads > 1; here we pin the mode wiring).
-  build(3);
-  PoolConfig config;
-  config.pipeline = true;
-  EnginePool pool(model(), config);
-  EXPECT_TRUE(pool.shard(0).pipeline());
-  EXPECT_EQ(pool.model_info().layers, 3);
-
-  build(1);  // single layer: pipelining must quietly turn itself off
-  PoolConfig single;
-  single.pipeline = true;
-  EnginePool spool(model(), single);
-  EXPECT_FALSE(spool.shard(0).pipeline());
 }
 
 }  // namespace

@@ -34,11 +34,10 @@ Dispatches on the artifact's "bench" field:
       delivery or an unanswered request through the front end is a
       routing bug, never noise — and the frontend block itself must
       be present with at least one row at >= 1000 connections.
-      The stacked block (L-layer models through the sequential and the
-      wavefront-pipelined flush) must be present and non-empty, and
-      every row must have bit_exact=true — a pipelined or resharded
-      run whose digests differ from the sequential 1-shard reference
-      is a determinism bug in the wavefront, never noise.
+      The stacked block (L-layer models at several shard counts) must
+      be present and non-empty, and every row must have bit_exact=true
+      — a resharded run whose digests differ from the 1-shard
+      reference is a determinism bug, never noise.
       The recovery block (write-ahead journal: kill the pool halfway,
       restart, resume) must be present and non-empty, and every row
       must have recovered_bit_exact=true — a resumed run that does not
@@ -221,25 +220,20 @@ def check_serving(fresh, ref, failures, warnings):
     if not stacked:
         failures.append(
             "stacked block missing or empty — the L-layer serving path "
-            "(sequential + wavefront-pipelined flush) was not exercised "
-            "(bench/bench_serving.cc writes one row per layers x shards "
-            "x schedule)"
+            "was not exercised (bench/bench_serving.cc writes one row per "
+            "layers x shards)"
         )
     ref_stacked = {
-        (r.get("layers"), r.get("shards"), r.get("pipeline")): r
-        for r in ref.get("stacked", [])
+        (r.get("layers"), r.get("shards")): r for r in ref.get("stacked", [])
     }
     for row in stacked:
-        key = (row.get("layers"), row.get("shards"), row.get("pipeline"))
-        label = (
-            f"layers={key[0]} shards={key[1]} "
-            f"pipeline={'on' if key[2] else 'off'}"
-        )
+        key = (row.get("layers"), row.get("shards"))
+        label = f"layers={key[0]} shards={key[1]}"
         if not row.get("bit_exact", False):
             failures.append(
                 f"stacked bit_exact=false ({label}) — the run's digests "
-                f"diverged from the sequential 1-shard reference; the "
-                f"wavefront broke determinism"
+                f"diverged from the 1-shard reference; resharding broke "
+                f"determinism"
             )
         ref_row = ref_stacked.get(key)
         if ref_row is None:
