@@ -271,11 +271,6 @@ void Frontend::handle_line(Conn& conn, std::string_view line) {
       if (server_->submit(cmd.session, cmd.token, conn.id, &status)
               .has_value()) {
         ++conn.inflight;
-      } else if (status == SubmitStatus::kUnavailable) {
-        // The session's shard is quarantined mid-restart; distinct
-        // from shedding so a resuming client knows to back off and
-        // `sync` rather than hammer.
-        push_line(conn, format_error("unavailable, shard restarting"));
       } else {
         push_line(conn, format_error("overloaded, request shed"));
       }
@@ -290,14 +285,10 @@ void Frontend::handle_line(Conn& conn, std::string_view line) {
     case CommandLine::Op::kSync: {
       // The session's committed position, read from its shard's
       // authoritative digest table (mutex-protected — safe from this
-      // thread). Topology held stable so the shard lookup cannot race
-      // a supervisor rebuild.
-      SessionDigest d;
-      server_->with_stable_topology([&] {
-        d = pool_->shard(pool_->shard_of(cmd.session))
-                .sessions()
-                .digest_of(cmd.session);
-      });
+      // thread).
+      const SessionDigest d = pool_->shard(pool_->shard_of(cmd.session))
+                                  .sessions()
+                                  .digest_of(cmd.session);
       push_line(conn, format_pos(cmd.session, d));
       return;
     }
@@ -559,32 +550,26 @@ StatsSnapshot snapshot_stats(const LiveServer& server,
   snap.shed = server.shed();
   snap.now_us = server.now_us();
   snap.shards = pool.num_shards();
-  snap.restarts = server.restarts();
-  snap.quarantined = server.quarantined();
-  // The shard walk runs with the topology frozen so a concurrent
-  // supervisor rebuild can never swap a slot mid-read.
-  server.with_stable_topology([&] {
-    for (num::Index s = 0; s < pool.num_shards(); ++s) {
-      const EngineShard& shard = pool.shard(s);
-      const SessionStore& ss = shard.sessions();
-      snap.created += ss.created();
-      snap.ttl_resets += ss.ttl_resets();
-      snap.evicted += ss.evicted();
-      snap.spilled += ss.spilled();
-      snap.restored += ss.restored();
-      snap.restore_corrupt += ss.restore_corrupt();
-      snap.timeouts += shard.timeouts();
-      if (ss.spill_active()) ++snap.spill_active;
-      if (ss.journal_active()) ++snap.journal_active;
-    }
-    if (pool.journal(0) != nullptr) {
-      snap.durability = "journal";
-    } else if (pool.spill_store(0) != nullptr) {
-      snap.durability = "spill";
-    } else {
-      snap.durability = "off";
-    }
-  });
+  for (num::Index s = 0; s < pool.num_shards(); ++s) {
+    const EngineShard& shard = pool.shard(s);
+    const SessionStore& ss = shard.sessions();
+    snap.created += ss.created();
+    snap.ttl_resets += ss.ttl_resets();
+    snap.evicted += ss.evicted();
+    snap.spilled += ss.spilled();
+    snap.restored += ss.restored();
+    snap.restore_corrupt += ss.restore_corrupt();
+    snap.timeouts += shard.timeouts();
+    if (ss.spill_active()) ++snap.spill_active;
+    if (ss.journal_active()) ++snap.journal_active;
+  }
+  if (pool.journal(0) != nullptr) {
+    snap.durability = "journal";
+  } else if (pool.spill_store(0) != nullptr) {
+    snap.durability = "spill";
+  } else {
+    snap.durability = "off";
+  }
   const ModelInfo& mi = pool.model_info();
   snap.model = mi.name;
   snap.layers = mi.layers;

@@ -138,7 +138,7 @@ class Frontend {
   void join();
 
   const LiveServer& server() const { return *server_; }
-  /// Mutable access for the supervisor (restart_shard) and tests.
+  /// Mutable access for the supervisor (worker heartbeats) and tests.
   LiveServer& server() { return *server_; }
 
   /// Merged per-session digest table — the pool's authoritative

@@ -15,10 +15,9 @@
 // dir the LRU cap tiers to disk (PR 6); with the journal enabled on
 // top, every shard also write-ahead-logs its committed session
 // transitions and the pool cold-recovers the full session population —
-// sessions, LRU order, digest tables — at construction. The pool also
-// supports rebuild_shard(): tearing one crashed/wedged shard down and
-// re-recovering it from its own journal while the others keep serving
-// (the supervisor's repair primitive, serve/supervisor.h).
+// sessions, LRU order, digest tables — at construction. That cold
+// recovery is the only repair path: a crashed or wedged server is
+// restarted as a whole (serve/supervisor.h).
 #pragma once
 
 #include <memory>
@@ -71,9 +70,8 @@ struct PoolConfig {
 
 class EnginePool {
  public:
-  /// Serves `model` on every shard. The pool copies the pointer lists
-  /// (and name/vocab) so it can rebuild a shard later; the pointees —
-  /// cells, pruners, embedding — must outlive the pool.
+  /// Serves `model` on every shard. `model` may be a temporary; the
+  /// pointees — cells, pruners, embedding — must outlive the pool.
   EnginePool(const ServeModel& model, const PoolConfig& config);
 
   /// Single-layer convenience (synthetic-load benches, most tests):
@@ -110,16 +108,6 @@ class EnginePool {
   /// Starts a new measurement epoch on every shard (shard counters and
   /// engine cumulative stats).
   void reset_stats();
-
-  /// Tears shard `i` down and rebuilds it from its own durable state:
-  /// fresh engine + session store, spill segment reopened, journal
-  /// replayed (sessions, LRU order, digest table — exactly what the
-  /// crashed/wedged shard last committed). The old shard, spill store
-  /// and journal move to a graveyard rather than being destroyed, so a
-  /// truly wedged thread still inside the old shard cannot touch freed
-  /// memory. The caller must guarantee no *cooperating* thread touches
-  /// shard `i` during the call (the supervisor quarantines it first).
-  void rebuild_shard(num::Index i);
 
   /// The shard's spill store, or null when no tier is configured (or
   /// its open failed and the shard runs RAM-only).
@@ -169,32 +157,14 @@ class EnginePool {
   const ModelInfo& model_info() const { return model_info_; }
 
  private:
-  void build_shards(const PoolConfig& config);
-  std::unique_ptr<EngineShard> make_shard() const;
-  void attach_stores(num::Index i);
+  void build_shards(const ServeModel& model, const PoolConfig& config);
 
-  // unique_ptr so rebuild_shard can swap one slot without relocating
-  // the others (a shard's engine hands out workspace references it
-  // must keep valid).
+  // unique_ptr: a shard's engine hands out workspace references it
+  // must keep valid, so shards never relocate.
   std::vector<std::unique_ptr<EngineShard>> shards_;
   std::unique_ptr<store::PosixEnv> owned_env_;
-  store::Env* env_ = nullptr;  // spill/journal filesystem (if any)
   std::vector<std::unique_ptr<store::SegmentStore>> spills_;
   std::vector<std::unique_ptr<store::Journal>> journals_;
-  // Retired by rebuild_shard, destroyed with the pool: a wedged thread
-  // abandoned inside an old shard must never see freed memory.
-  std::vector<std::unique_ptr<EngineShard>> shard_graveyard_;
-  std::vector<std::unique_ptr<store::SegmentStore>> spill_graveyard_;
-  std::vector<std::unique_ptr<store::Journal>> journal_graveyard_;
-  // The model, re-owned: ServeModel is a span view, so rebuild_shard
-  // needs the pool to keep its own backing lists (pointees still
-  // borrowed from the caller).
-  std::vector<const nn::LstmCell*> cells_;
-  std::vector<const core::StatePruner*> pruners_;
-  const nn::Embedding* embedding_ = nullptr;
-  std::string model_name_;
-  num::Index model_vocab_ = 0;
-  PoolConfig config_;
   ModelInfo model_info_;
   std::int64_t recovered_max_arrival_us_ = 0;
   std::uint64_t recovered_sessions_ = 0;

@@ -129,14 +129,12 @@ std::string format_stats(const StatsSnapshot& s) {
                 " ttl_resets=%" PRIu64 " evicted=%" PRIu64
                 " spilled=%" PRIu64 " restored=%" PRIu64
                 " restore_corrupt=%" PRIu64 " spill_active=%lld/%lld"
-                " timeouts=%" PRIu64 " restarts=%" PRIu64
-                " quarantined=%lld journal_active=%lld/%lld durability=%s",
+                " timeouts=%" PRIu64 " journal_active=%lld/%lld durability=%s",
                 s.submitted, s.responses, s.shed,
                 static_cast<long long>(s.now_us), s.created, s.ttl_resets,
                 s.evicted, s.spilled, s.restored, s.restore_corrupt,
                 static_cast<long long>(s.spill_active),
-                static_cast<long long>(s.shards), s.timeouts, s.restarts,
-                static_cast<long long>(s.quarantined),
+                static_cast<long long>(s.shards), s.timeouts,
                 static_cast<long long>(s.journal_active),
                 static_cast<long long>(s.shards),
                 s.durability.empty() ? "off" : s.durability.c_str());

@@ -137,10 +137,6 @@ struct StatsSnapshot {
   /// Requests that waited past their --deadline-us and were answered
   /// with "err timeout" instead of being served.
   std::uint64_t timeouts = 0;
-  /// Supervisor activity: lifetime worker restarts, and how many
-  /// shards are quarantined (answering "err unavailable") right now.
-  std::uint64_t restarts = 0;
-  num::Index quarantined = 0;
   /// Shards whose write-ahead journal is attached and accepting
   /// appends. Under --durability=journal, journal_active < shards
   /// means the write-error policy degraded some shard to undurable
@@ -159,10 +155,10 @@ struct StatsSnapshot {
 
 /// "stat submitted=... responses=... shed=... now_us=... created=...
 /// ttl_resets=... evicted=... spilled=... restored=...
-/// restore_corrupt=... spill_active=N/M timeouts=... restarts=...
-/// quarantined=... journal_active=N/M durability=... model=...
-/// layers=L dh=N vocab=V quant=off|int8" — one line, fixed key order,
-/// so scripts can grep a key without tracking field positions.
+/// restore_corrupt=... spill_active=N/M timeouts=... journal_active=N/M
+/// durability=... model=... layers=L dh=N vocab=V quant=off|int8" —
+/// one line, fixed key order, so scripts can grep a key without
+/// tracking field positions.
 std::string format_stats(const StatsSnapshot& s);
 
 }  // namespace zss::serve

@@ -1,13 +1,13 @@
 #include "serve/supervisor.h"
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 namespace zss::serve {
 
 Supervisor::Supervisor(LiveServer& server, SupervisorConfig config)
-    : server_(&server), cfg_(config) {
-  ZSS_EXPECTS(config.poll_ms > 0);
-}
+    : server_(&server), cfg_(config) {}
 
 Supervisor::~Supervisor() { stop(); }
 
@@ -29,23 +29,23 @@ void Supervisor::stop() {
 void Supervisor::run() {
   const std::int64_t stall_us = cfg_.stall_ms * 1000;
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(cfg_.poll_ms),
-                 [this] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
+  while (!cv_.wait_for(lock, std::chrono::milliseconds(kPollMs),
+                       [this] { return stop_; })) {
     for (num::Index i = 0; i < server_->num_workers(); ++i) {
-      // Single-writer discipline: only this thread calls
-      // restart_shard, so worker(i) is stable between our own
-      // restarts and the reference cannot dangle mid-check.
       const ShardWorker& w = server_->worker(i);
-      if (w.inflight() <= 0) continue;  // idle sleep is not a stall
+      const num::Index inflight = w.inflight();
+      if (inflight <= 0) continue;  // idle sleep is not a stall
       const std::int64_t age = mono_now_us() - w.heartbeat_us();
       if (age <= stall_us) continue;
-      server_->restart_shard(i);
-      restarts_.fetch_add(1, std::memory_order_relaxed);
+      std::fprintf(stderr,
+                   "zss watchdog: shard %lld wedged: heartbeat %lld ms old, "
+                   "%lld request(s) in flight; aborting (a restart recovers "
+                   "from the journal)\n",
+                   static_cast<long long>(i),
+                   static_cast<long long>(age / 1000),
+                   static_cast<long long>(inflight));
+      std::abort();
     }
-    lock.lock();
   }
 }
 

@@ -1,13 +1,20 @@
-// Shard watchdog — detects crashed/wedged workers and restarts them.
+// Shard watchdog — turns a wedged worker into a process crash.
 //
 // Each ShardWorker stamps a monotonic heartbeat at every loop
 // iteration (serve/worker.h). The supervisor polls those stamps from
 // its own thread: a worker that HOLDS WORK (inflight > 0) whose
-// heartbeat has not advanced for `stall_ms` is judged dead — stuck in
-// the engine, deadlocked, or spinning — and repaired through
-// LiveServer::restart_shard(): quarantine, abandon, rebuild the shard
-// from its journal, mount a fresh worker. Surviving shards serve
-// throughout; the restarted shard resumes from its last group-commit.
+// heartbeat has not advanced for `stall_ms` is judged wedged — stuck in
+// the engine, deadlocked, or spinning. The supervisor then writes one
+// line to stderr naming the shard, the heartbeat age and the in-flight
+// count, and calls std::abort().
+//
+// Recovery is crash-only (docs/serving.md "Crash recovery"): a process
+// supervisor (systemd Restart=on-failure, or any loop around the
+// binary) starts a fresh server, the journal recovers every committed
+// session, and resuming clients re-drive whatever was not acknowledged
+// through `sync`/`pos`. This is why the watchdog needs
+// --durability=journal: without a journal a restart forgets committed
+// state.
 //
 // Threshold discipline: a worker sleeping toward its batcher's
 // max-wait deadline legitimately freezes its heartbeat with work
@@ -16,39 +23,31 @@
 // nothing — the caller knows its policy — but zss_serve refuses a
 // stall bound below its batcher max-wait. An idle worker (inflight ==
 // 0) never trips the watchdog no matter how long it sleeps.
-//
-// Misjudgment safety: restart correctness does NOT depend on the
-// stall verdict being right. Abandonment is checked by the worker
-// before every shard touch, so a slow-but-alive worker the watchdog
-// shot exits without serving — no duplicate responses — and its
-// unserved requests are accounted `abandoned` like any other restart.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "serve/worker.h"
 
 namespace zss::serve {
 
 struct SupervisorConfig {
-  /// A worker with queued work whose heartbeat is older than this is
-  /// restarted. <= 0 disables the watchdog entirely (start() no-ops).
+  /// A worker with queued work whose heartbeat is older than this
+  /// aborts the process. <= 0 disables the watchdog (start() no-ops).
+  /// Detection latency is stall_ms plus at most one poll (kPollMs).
   std::int64_t stall_ms = 0;
-  /// Poll cadence. Detection latency is stall_ms + up to one poll.
-  std::int64_t poll_ms = 20;
 };
 
 class Supervisor {
  public:
-  /// Borrows the server for the supervisor's lifetime. Call start() to
-  /// arm; stop() (or destruction) disarms. Stop the supervisor BEFORE
-  /// shutting the server down — restart_shard no-ops after shutdown,
-  /// but a watchdog poking a dying server is noise.
+  /// Heartbeat poll cadence of the watchdog thread.
+  static constexpr std::int64_t kPollMs = 10;
+
+  /// Borrows the server, which must outlive the supervisor. Call
+  /// start() to arm; stop() (or destruction) disarms.
   Supervisor(LiveServer& server, SupervisorConfig config);
   ~Supervisor();
 
@@ -58,12 +57,6 @@ class Supervisor {
   void start();
   void stop();
 
-  /// Lifetime count of restarts this supervisor triggered (the
-  /// server's own restarts() also counts manual calls).
-  std::uint64_t restarts_triggered() const {
-    return restarts_.load(std::memory_order_relaxed);
-  }
-
  private:
   void run();
 
@@ -72,7 +65,6 @@ class Supervisor {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::atomic<std::uint64_t> restarts_{0};
   std::thread thread_;
 };
 

@@ -32,35 +32,16 @@
 // monotonic heartbeat at every loop iteration, between the batches of
 // a settle pass, and at every response delivery, so a watchdog
 // (serve/supervisor.h) can tell a busy worker — however deep its
-// backlog — from a wedged one. A worker judged dead is *abandoned* — a
-// cooperative flag it checks before every touch of the shard (the
-// pre-serve checkpoint and again between the batches of a settle pass)
-// AND at every response delivery: the worker's sink fence drops any
-// response once the flag is set, so even a thread that was wedged
-// mid-batch inside the engine and resumes after the abandon grace can
-// never hand out a response the rebuilt shard will re-serve (the
-// journal side of that race is fenced by store poisoning —
-// EnginePool::rebuild_shard). The server quarantines the shard
-// (`submit` returns kUnavailable), rebuilds it from its journal and
-// mounts a fresh worker. The abandoned worker object moves to a
-// graveyard so cooperating threads keep seeing valid memory; the
-// worker thread itself shares ownership of its control block, so even
-// a thread detached at destruction never touches freed memory.
+// backlog — from a wedged one. A wedged worker is not repaired in
+// process: the watchdog aborts, and the journal restart recovers every
+// committed session (crash-only; clients re-drive the rest through the
+// resume protocol).
 //
 // Ledger: inflight() counts accepted-but-not-yet-RESPONDED requests —
-// the sink fence decrements it per delivered response, and a
-// suppressed (post-abandon) response deliberately never decrements.
-// An abandoned worker's final inflight() is therefore exactly its
-// requests that no one answered, and the server folds it into
-// `abandoned` once the thread acknowledges (or at shutdown for a
-// thread wedged forever). The ledger then reads:
-//     submitted == responded + abandoned        (after shutdown)
-// — every accepted request is either answered or accounted as lost to
-// a restart (its client re-drives it via the resume protocol). One
-// caveat, inherent to not waiting forever: a thread wedged INSIDE the
-// user sink call holds one response past the fence; it is counted
-// abandoned at shutdown, and if the sink ever unblocks afterwards the
-// delivery also lands — the client sees the answer it already re-drove.
+// incremented on submit, decremented per delivered response — which is
+// what max_queue sheds on and what the watchdog gates on. After
+// shutdown every accepted request was answered:
+//     submitted == responded
 //
 // The sink passed to LiveServer is invoked concurrently, one call at a
 // time per shard but across shards in parallel — it must be
@@ -115,10 +96,9 @@ struct LiveConfig {
 
 /// Why submit() did not return a seq (or kOk when it did).
 enum class SubmitStatus {
-  kOk,           // accepted; seq returned
-  kShed,         // shard over max_queue — back off and retry
-  kUnavailable,  // shard quarantined, restart in progress — retry soon
-  kStopped,      // server shut down
+  kOk,       // accepted; seq returned
+  kShed,     // shard over max_queue — back off and retry
+  kStopped,  // server shut down
 };
 
 /// One persistent worker: owns the thread that is the sole toucher of
@@ -137,8 +117,7 @@ class ShardWorker {
   void start();
 
   /// MPSC producer side: appends and wakes the worker. Returns false
-  /// when shedding (queue bound exceeded), after request_stop(), or
-  /// after abandon().
+  /// when shedding (queue bound exceeded) or after request_stop().
   bool submit(const Request& r);
 
   /// Asks the worker to serve everything queued (ignoring max-wait)
@@ -150,16 +129,6 @@ class ShardWorker {
   void request_stop();
   void join();
 
-  /// Supervision: tells the worker to exit WITHOUT serving anything
-  /// more. The flag is checked before every touch of the shard, so a
-  /// worker the watchdog misjudged (slow, not dead) exits on its next
-  /// instruction past the stall instead of emitting duplicate
-  /// responses for work the rebuilt shard will redo. Waits a short
-  /// grace period for the thread to acknowledge; returns true if it
-  /// did (false = genuinely wedged — it will still exit cooperatively
-  /// if it ever resumes).
-  bool abandon();
-
   /// Monotonic stamp (mono_now_us timebase) of the worker's last sign
   /// of life: loop iteration, settle-pass batch boundary, or response
   /// delivery. The watchdog's liveness signal: a worker with queued
@@ -167,67 +136,44 @@ class ShardWorker {
   /// stamp advances per *response*, a healthy worker grinding through
   /// an arbitrarily deep backlog never reads as wedged.
   std::int64_t heartbeat_us() const {
-    return ctl_->heartbeat_us.load(std::memory_order_relaxed);
+    return heartbeat_us_.load(std::memory_order_relaxed);
   }
 
-  /// Requests accepted but not yet *responded to*: the sink fence
-  /// decrements per delivered response, so for an abandoned worker
-  /// this is exactly the count no client will ever hear back about.
+  /// Requests accepted but not yet responded to.
   num::Index inflight() const {
-    return ctl_->inflight.load(std::memory_order_relaxed);
+    return inflight_.load(std::memory_order_relaxed);
   }
-
-  /// True once run() returned (normal stop or abandonment).
-  bool exited() const { return ctl_->exited.load(std::memory_order_acquire); }
 
   /// Test hooks: park the worker thread at its pre-serve checkpoint (a
   /// deterministic "wedge" the supervisor tests detect), and release
-  /// it. A released worker re-checks abandonment before serving.
-  void wedge_for_testing() {
-    ctl_->wedged.store(true, std::memory_order_release);
-  }
-  void release_wedge() {
-    ctl_->wedged.store(false, std::memory_order_release);
-  }
+  /// it.
+  void wedge_for_testing() { wedged_.store(true, std::memory_order_release); }
+  void release_wedge() { wedged_.store(false, std::memory_order_release); }
 
  private:
-  // Everything the worker thread touches lives here, co-owned by the
-  // thread's lambda via shared_ptr: a wedged thread that ~ShardWorker
-  // had to detach keeps its state alive on its own and never
-  // dereferences freed memory, even after the graveyard (and the
-  // ShardWorker object) are long gone. The shard/sink/clock it points
-  // INTO are a different story — those belong to the pool/server, which
-  // is why abandonment fences every touch of them (see run()).
-  struct Control {
-    EngineShard* shard = nullptr;
-    ResponseSink sink;
-    std::function<std::int64_t()> now;
-    num::Index max_queue = 0;
+  void run();
 
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Request> inbox;   // produced under mu
-    std::vector<Request> taking;  // worker-private swap target
-    // Accepted minus responded. Incremented under mu on submit, but
-    // atomic so the supervisor/restart/sink paths touch it lock-free.
-    std::atomic<num::Index> inflight{0};
-    bool stop = false;
-    bool flush = false;
-    std::atomic<bool> abandoned{false};
-    std::atomic<bool> wedged{false};
-    std::atomic<bool> exited{false};
-    std::atomic<std::int64_t> heartbeat_us{0};
-  };
+  EngineShard* shard_;
+  ResponseSink sink_;
+  std::function<std::int64_t()> now_;
+  num::Index max_queue_;
 
-  static void run(Control& c);
-
-  std::shared_ptr<Control> ctl_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Request> inbox_;   // produced under mu_
+  std::vector<Request> taking_;  // worker-private swap target
+  // Accepted minus responded. Incremented under mu_ on submit, but
+  // atomic so the watchdog and the delivery path touch it lock-free.
+  std::atomic<num::Index> inflight_{0};
+  bool stop_ = false;
+  bool flush_ = false;
+  std::atomic<bool> wedged_{false};
+  std::atomic<std::int64_t> heartbeat_us_{0};
   std::thread thread_;
 };
 
 /// The live front end: stamps, records and routes requests onto the
-/// pool's shard workers, and owns graceful shutdown plus the
-/// supervisor's restart primitive.
+/// pool's shard workers, and owns graceful shutdown.
 class LiveServer {
  public:
   /// Borrows the pool (and its shards) for the server's lifetime. The
@@ -243,11 +189,10 @@ class LiveServer {
 
   /// Stamps and enqueues one request; returns its seq, or nullopt when
   /// not accepted — `status` (optional) says why: kShed (shard over
-  /// max_queue), kUnavailable (shard quarantined mid-restart), or
-  /// kStopped. `client` tags the issuing connection (echoed on the
-  /// Response so the multiplexed front end routes it back; 0 = no
-  /// connection). The tag never enters stamping, batching or values —
-  /// request.h.
+  /// max_queue) or kStopped. `client` tags the issuing connection
+  /// (echoed on the Response so the multiplexed front end routes it
+  /// back; 0 = no connection). The tag never enters stamping, batching
+  /// or values — request.h.
   std::optional<std::uint64_t> submit(SessionId session, num::Index token,
                                       std::uint64_t client = 0,
                                       SubmitStatus* status = nullptr);
@@ -258,23 +203,8 @@ class LiveServer {
 
   /// Graceful shutdown: refuses new submissions, lets every worker
   /// drain in-flight requests, joins the threads. Idempotent; the
-  /// destructor calls it too. Abandoned workers that never resumed are
-  /// detached rather than joined (they own no resources that outlive
-  /// the pool).
+  /// destructor calls it too.
   void shutdown();
-
-  /// The supervisor's repair primitive: quarantine shard `i` (submits
-  /// return kUnavailable), abandon its worker, rebuild the shard from
-  /// its journal (EnginePool::rebuild_shard) and mount a fresh worker.
-  /// The old worker's unanswered requests (its final inflight) are
-  /// folded into `abandoned` as soon as the thread acknowledges the
-  /// abandon — immediately when it acks within the grace period,
-  /// otherwise deferred until it exits (checked at later restarts and
-  /// at shutdown), because a thread still wedged mid-delivery may yet
-  /// complete one response. Safe to call from the watchdog thread;
-  /// no-op if already quarantined or shut down. Surviving shards keep
-  /// serving throughout.
-  void restart_shard(num::Index i);
 
   std::int64_t now_us() const { return now_(); }
   std::uint64_t submitted() const {
@@ -284,76 +214,34 @@ class LiveServer {
   std::uint64_t responded() const {
     return responded_.load(std::memory_order_relaxed);
   }
-  /// Accepted requests lost to worker restarts (their clients re-drive
-  /// them). After shutdown: submitted == responded + abandoned.
-  std::uint64_t abandoned() const {
-    return abandoned_.load(std::memory_order_relaxed);
-  }
-  /// Worker restarts performed (supervisor recoveries).
-  std::uint64_t restarts() const {
-    return restarts_.load(std::memory_order_relaxed);
-  }
-  /// Shards currently quarantined (0 in steady state).
-  num::Index quarantined() const {
-    return quarantined_count_.load(std::memory_order_relaxed);
-  }
 
   num::Index num_workers() const {
     return static_cast<num::Index>(workers_.size());
   }
-  /// The live worker of shard `i` (replaced by restart_shard; callers
-  /// on other threads should not cache the pointer across restarts).
   ShardWorker& worker(num::Index i) {
     return *workers_[static_cast<std::size_t>(i)];
   }
-
-  /// Runs `fn` with the server's topology frozen: no restart_shard can
-  /// swap a shard/worker slot while `fn` executes. The stats snapshot
-  /// path walks the pool's shards under this so it never reads a slot
-  /// mid-rebuild. Keep `fn` short — it holds the stamping lock.
-  void with_stable_topology(const std::function<void()>& fn) const;
 
   /// The accepted requests as a replayable trace (LiveConfig::record).
   /// Only meaningful after shutdown(); sorted by construction.
   /// Timed-out requests are filtered out at shutdown — they produced
   /// no state, so replaying exactly the surviving events reproduces
-  /// the run's digests. Requests abandoned by a restart are NOT
-  /// filtered (the recorder cannot see inside a dead worker's queue);
-  /// a trace recorded across a restart replays self-consistently but
-  /// is not digest-comparable to the journal-recovered state.
+  /// the run's digests.
   const std::vector<TraceEvent>& recorded_trace() const { return recorded_; }
 
  private:
-  /// Folds abandoned_pending_ workers whose threads have exited into
-  /// abandoned_; with final_fold, folds the rest too (shutdown). Caller
-  /// must hold restart_mu_.
-  void fold_pending_abandoned(bool final_fold);
-
   EnginePool* pool_;
   std::function<std::int64_t()> now_;
-  ResponseSink counted_sink_;  // kept for mounting replacement workers
-  num::Index max_queue_ = 0;
   std::int64_t deadline_us_ = 0;
+  // unique_ptr: a worker owns a mutex and a running thread, so it must
+  // never move.
   std::vector<std::unique_ptr<ShardWorker>> workers_;
-  // Replaced workers; kept alive (valid memory for wedged threads)
-  // until shutdown, where exited ones are joined and wedged ones
-  // detached.
-  std::vector<std::unique_ptr<ShardWorker>> worker_graveyard_;
 
-  mutable std::mutex stamp_mu_;
-  // Serializes restart_shard against shutdown and other restarts;
-  // never held on the submit path.
-  std::mutex restart_mu_;
+  std::mutex stamp_mu_;
   std::int64_t last_stamp_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;
   bool record_ = false;
-  std::vector<char> quarantined_;  // per shard, guarded by stamp_mu_
-  // Abandoned workers that had not acknowledged within the grace
-  // period — their inflight is folded into abandoned_ once they exit
-  // (or at shutdown, wedged or not). Points into worker_graveyard_;
-  // guarded by restart_mu_.
-  std::vector<ShardWorker*> abandoned_pending_;
   std::vector<TraceEvent> recorded_;
 
   // Seqs answered `err timeout`, collected by the counted sink and
@@ -364,9 +252,6 @@ class LiveServer {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> responded_{0};
-  std::atomic<std::uint64_t> abandoned_{0};
-  std::atomic<std::uint64_t> restarts_{0};
-  std::atomic<num::Index> quarantined_count_{0};
 };
 
 }  // namespace zss::serve

@@ -1,7 +1,6 @@
 #include "store/journal.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "store/crc32c.h"
@@ -357,8 +356,6 @@ bool Journal::append(JournalRecordKind kind, std::uint64_t id,
   // Bounded retry from the same tail offset (a torn prefix is simply
   // overwritten). Unlike the spill tier, the append does NOT sync —
   // commit() is the group-commit barrier at the batch boundary.
-  std::lock_guard<std::timed_mutex> lock(write_mu_);
-  if (poisoned()) return false;
   bool written = false;
   for (int attempt = 0; attempt < cfg_.max_write_attempts; ++attempt) {
     if (file_->write_at(tail_, scratch_.data(), scratch_.size()) ==
@@ -385,8 +382,6 @@ bool Journal::append(JournalRecordKind kind, std::uint64_t id,
 bool Journal::commit() {
   if (!enabled()) return false;
   if (!dirty_) return true;
-  std::lock_guard<std::timed_mutex> lock(write_mu_);
-  if (poisoned()) return false;
   if (cfg_.sync == JournalSync::kBatch) {
     bool synced = false;
     for (int attempt = 0; attempt < cfg_.max_write_attempts; ++attempt) {
@@ -451,8 +446,6 @@ bool Journal::checkpoint(const std::vector<CheckpointSession>& sessions,
   // journal truncate just replays a suffix the new watermark skips.
   const std::string ckpt = cfg_.path + ".ckpt";
   const std::string tmp = ckpt + ".tmp";
-  std::lock_guard<std::timed_mutex> lock(write_mu_);
-  if (poisoned()) return false;
   auto out = env_.open(tmp, /*truncate_existing=*/true);
   if (out == nullptr) return false;
   if (out->write_at(0, img.data(), img.size()) != img.size() ||
@@ -480,20 +473,6 @@ bool Journal::checkpoint(const std::vector<CheckpointSession>& sessions,
   tail_ = kFileHeaderSize;
   dirty_ = false;
   return true;
-}
-
-void Journal::poison() {
-  poisoned_.store(true, std::memory_order_release);
-  // Drain: once the write lock can be taken, no writer is inside a
-  // syscall and none can re-enter (the flag is re-checked under the
-  // lock before any file op). Bounded so a writer wedged inside the
-  // kernel cannot wedge the caller — the restart path — with it; in
-  // that residual case one already-issued write can still land at the
-  // stale tail, which the next recovery's CRC scan treats as a torn
-  // tail rather than valid records.
-  if (write_mu_.try_lock_for(std::chrono::milliseconds(250))) {
-    write_mu_.unlock();
-  }
 }
 
 }  // namespace zss::store

@@ -65,11 +65,9 @@
 //    disk untouched, instead of truncating committed history.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -166,21 +164,7 @@ class Journal {
 
   /// False once the write-error policy has tripped (or open failed);
   /// the owner keeps serving without durability.
-  bool enabled() const { return ok() && !disabled_ && !poisoned(); }
-
-  /// Permanently fences this journal off its file: every later
-  /// append/commit/checkpoint is a refused no-op. The pool calls this
-  /// on a retired journal before reopening the same path for a rebuilt
-  /// shard, so a wedged worker thread that resumes with the stale
-  /// handle can never interleave writes with the replacement journal
-  /// (two handles, divergent tails — WAL corruption). Waits a bounded
-  /// moment for an in-flight write to drain; a write wedged inside the
-  /// kernel past that is still fenced the instant it returns (the flag
-  /// is re-checked under the write lock before every syscall batch).
-  void poison();
-  bool poisoned() const {
-    return poisoned_.load(std::memory_order_acquire);
-  }
+  bool enabled() const { return ok() && !disabled_; }
 
   /// Append one transition. `h`/`c` (state_width floats each) are
   /// required for kUpdate and ignored otherwise. The record is staged
@@ -261,12 +245,6 @@ class Journal {
   num::Index width_;
   std::unique_ptr<File> file_;
   std::string open_error_;
-  // Fencing for rebuild_shard: the owning shard thread is the only
-  // writer, so the lock is uncontended in steady state; poison() takes
-  // it once to drain an in-flight write. Timed so a write wedged
-  // inside the kernel cannot wedge the restart path with it.
-  std::timed_mutex write_mu_;
-  std::atomic<bool> poisoned_{false};
   std::uint64_t tail_ = 0;     // append offset == valid-prefix length
   std::uint64_t next_lsn_ = 1;
   std::uint64_t watermark_lsn_ = 0;  // checkpoint covers LSNs <= this

@@ -1,6 +1,5 @@
 #include "store/segment_store.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -215,28 +214,23 @@ bool SegmentStore::spill(serve_id_t id, const RecordMeta& meta,
   // Bounded retry, each attempt from the same tail offset so a torn
   // prefix is simply overwritten. A record is committed only once both
   // the write and the sync succeeded; anything less leaves the file's
-  // valid prefix exactly where it was (recovery cuts the debris). The
-  // lock scope ends before maybe_compact(), which takes it again.
+  // valid prefix exactly where it was (recovery cuts the debris).
   bool committed = false;
-  {
-    std::lock_guard<std::timed_mutex> lock(write_mu_);
-    if (poisoned()) return false;
-    for (int attempt = 0; attempt < cfg_.max_write_attempts; ++attempt) {
-      if (file_->write_at(tail_, scratch_.data(), scratch_.size()) ==
-              scratch_.size() &&
-          file_->sync()) {
-        committed = true;
-        break;
-      }
-      ++write_errors_;
+  for (int attempt = 0; attempt < cfg_.max_write_attempts; ++attempt) {
+    if (file_->write_at(tail_, scratch_.data(), scratch_.size()) ==
+            scratch_.size() &&
+        file_->sync()) {
+      committed = true;
+      break;
     }
-    if (!committed) {
-      // Degrade: stop spilling, keep serving RAM-only. Best-effort tail
-      // cleanup; if even that fails, recovery handles the debris later.
-      file_->truncate(tail_);
-      disable();
-      return false;
-    }
+    ++write_errors_;
+  }
+  if (!committed) {
+    // Degrade: stop spilling, keep serving RAM-only. Best-effort tail
+    // cleanup; if even that fails, recovery handles the debris later.
+    file_->truncate(tail_);
+    disable();
+    return false;
   }
 
   IndexEntry e;
@@ -333,8 +327,6 @@ void SegmentStore::maybe_compact() {
 
 bool SegmentStore::compact(std::int64_t expire_before_us) {
   if (!ok()) return false;
-  std::lock_guard<std::timed_mutex> lock(write_mu_);
-  if (poisoned()) return false;
   const std::string tmp = cfg_.path + ".tmp";
   auto out = env_.open(tmp, /*truncate_existing=*/true);
   if (out == nullptr) return false;
@@ -385,17 +377,6 @@ bool SegmentStore::compact(std::int64_t expire_before_us) {
   dead_bytes_ = 0;
   ++compactions_;
   return true;
-}
-
-void SegmentStore::poison() {
-  poisoned_.store(true, std::memory_order_release);
-  // Same drain contract as Journal::poison(): after this returns no
-  // new write can start, and any in-flight one has finished unless it
-  // is wedged inside the kernel (bounded wait, so a hung syscall
-  // cannot wedge the restart path).
-  if (write_mu_.try_lock_for(std::chrono::milliseconds(250))) {
-    write_mu_.unlock();
-  }
 }
 
 }  // namespace zss::store

@@ -53,10 +53,8 @@
 // round-trip exact in all cases.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,18 +112,7 @@ class SegmentStore {
 
   /// False once the write-error policy has tripped (or open failed);
   /// the owner keeps serving RAM-only.
-  bool spilling_enabled() const { return ok() && !disabled_ && !poisoned(); }
-
-  /// Permanently fences this store off its file: later spills and
-  /// compactions are refused no-ops (a compaction's rename would
-  /// otherwise clobber the file a rebuilt shard has reopened at the
-  /// same path — serve/pool.cc::rebuild_shard). Same contract as
-  /// store::Journal::poison(): bounded drain of an in-flight write,
-  /// and the flag is re-checked under the write lock.
-  void poison();
-  bool poisoned() const {
-    return poisoned_.load(std::memory_order_acquire);
-  }
+  bool spilling_enabled() const { return ok() && !disabled_; }
 
   /// Appends a record for `id` (superseding any earlier one). True
   /// once the record is durable (written + synced). False = all
@@ -193,10 +180,6 @@ class SegmentStore {
   std::unique_ptr<File> file_;
   std::uint64_t tail_ = 0;  // append offset == valid-prefix length
   bool disabled_ = false;
-  // Fencing for rebuild_shard; uncontended in steady state (one shard
-  // thread writes), taken once by poison() to drain an in-flight write.
-  std::timed_mutex write_mu_;
-  std::atomic<bool> poisoned_{false};
   std::unordered_map<serve_id_t, IndexEntry> index_;
   std::uint64_t dead_bytes_ = 0;
   std::vector<std::uint8_t> scratch_;

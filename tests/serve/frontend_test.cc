@@ -261,15 +261,37 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
   std::string error;
   ASSERT_TRUE(frontend.start(&error)) << error;
 
-  constexpr int kStalledSteps = 200;
+  // Backpressure engages only once the server's socket send buffer is
+  // full and its own queue passes max_write_buffer, so the stalled
+  // client must be owed more bytes than both together (with one more
+  // max_write_buffer of slack for the send that overshoots the buffer).
+  // Size the backlog from this socket's SO_SNDBUF — the server's
+  // accepted end gets the same default — and the shortest possible
+  // "ok 77 <seq> <batch> <16 hex digits>\n" line.
   ClientConn stalled = connect_greet(fc.unix_path);
+  int sndbuf = 0;
+  socklen_t optlen = sizeof sndbuf;
+  ASSERT_EQ(::getsockopt(stalled.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &optlen),
+            0);
+  constexpr std::size_t kMinOkLine = 27;
+  const int kStalledSteps = static_cast<int>(
+      (static_cast<std::size_t>(sndbuf) + 2 * fc.max_write_buffer) /
+          kMinOkLine +
+      1);
+  // All requests go out in one send, and they are shorter than the
+  // responses, so they fit this socket's own send buffer: the test can
+  // never block on its own writes while the server pauses reading.
+  std::string blob;
   for (int i = 0; i < kStalledSteps; ++i) {
-    ASSERT_TRUE(stalled.send_line("step 77 " + std::to_string(i % 5)));
+    blob += "step 77 " + std::to_string(i % 5) + "\n";
   }
+  ASSERT_LT(blob.size(), static_cast<std::size_t>(sndbuf));
+  ASSERT_EQ(::send(stalled.fd(), blob.data(), blob.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(blob.size()));
   // Do NOT read `stalled` yet: its responses pile up server-side.
 
   ClientConn live = connect_greet(fc.unix_path);
-  for (int i = 0; i < 20; ++i) {
+  const auto live_round_trip = [&](int i) {
     ASSERT_TRUE(live.send_line("step 88 " + std::to_string(i % 5)));
     std::string line;
     ASSERT_TRUE(live.read_line(&line, 5000))
@@ -277,7 +299,21 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
     OkLine okl;
     ASSERT_TRUE(parse_ok(line, okl)) << line;
     EXPECT_EQ(okl.session, 88u);
-  }
+  };
+  constexpr int kLiveSteps = 20;
+  for (int i = 0; i < kLiveSteps; ++i) live_round_trip(i);
+
+  // Start reading `stalled` only once the server cannot make progress
+  // without us. The live round trips span several event-loop passes,
+  // so by now the server has read the whole blob — unless backpressure
+  // already paused it. Wait for every accepted request to be answered;
+  // then one more live round trip is a barrier: its `ok` queues behind
+  // every stalled response in the outbox, so all of them have been
+  // queued on `stalled` before it arrives.
+  ASSERT_TRUE(wait_until([&] {
+    return frontend.server().responded() == frontend.server().submitted();
+  }));
+  live_round_trip(kLiveSteps);
 
   int oks = 0;
   std::string line;
@@ -292,7 +328,7 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
   frontend.stop();
   frontend.join();
   EXPECT_EQ(frontend.server().submitted(),
-            static_cast<std::uint64_t>(kStalledSteps + 20));
+            static_cast<std::uint64_t>(kStalledSteps + kLiveSteps + 1));
   EXPECT_GE(frontend.stats().read_pauses, 1u)
       << "tiny max_write_buffer never engaged backpressure";
 }

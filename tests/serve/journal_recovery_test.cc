@@ -232,30 +232,40 @@ TEST_F(JournalRecoveryTest, CappedTieringPlusJournalRecoversThroughSpill) {
   EXPECT_GT(spilled, 0u) << "cap never engaged — the ladder went untested";
 }
 
-TEST_F(JournalRecoveryTest, RebuildShardRecoversExactlyItsOwnSessions) {
-  // The supervisor's repair primitive, exercised without threads: after
-  // serving, rebuild one shard in place and expect its journal to hand
-  // back exactly the sessions and digests the shard had committed,
-  // while the other shard's slot is untouched.
+TEST_F(JournalRecoveryTest, FreshPoolRecoversExactlyEachShardsSessions) {
+  // The crash-only repair path, exercised without threads: after
+  // serving, a fresh pool opened over the same journal dir must hand
+  // back exactly the sessions and digests every shard had committed,
+  // each on the shard that owns it.
   store::MemEnv env;
   PoolConfig config = base_config(2);
   config.spill.dir = "rb";
   config.spill.env = &env;
   config.spill.journal = true;
 
-  EnginePool pool(cell_, pruner_, config);
-  Driver d(pool);
-  for (std::uint64_t i = 0; i < kSteps; ++i) {
-    for (SessionId sid = 1; sid <= kSessions; ++sid) d.step(sid, i);
-    d.settle();
+  std::vector<DigestTable> before_by_shard;
+  std::uint64_t seq = 0;
+  {
+    EnginePool pool(cell_, pruner_, config);
+    Driver d(pool);
+    for (std::uint64_t i = 0; i < kSteps; ++i) {
+      for (SessionId sid = 1; sid <= kSessions; ++sid) d.step(sid, i);
+      d.settle();
+    }
+    for (num::Index s = 0; s < pool.num_shards(); ++s) {
+      before_by_shard.push_back(pool.shard(s).sessions().digests_copy());
+    }
+    seq = d.seq;
   }
-  const DigestTable before = pool.merged_digests();
 
-  pool.rebuild_shard(0);
-  pool.rebuild_shard(1);
-  expect_tables_equal(before, pool.merged_digests(), "after rebuild");
+  EnginePool pool(cell_, pruner_, config);
+  for (num::Index s = 0; s < pool.num_shards(); ++s) {
+    expect_tables_equal(before_by_shard[static_cast<std::size_t>(s)],
+                        pool.shard(s).sessions().digests_copy(),
+                        "shard " + std::to_string(s) + " after reopen");
+  }
 
-  // The rebuilt shards keep serving and the recurrence continues from
+  // The reopened pool keeps serving and the recurrence continues from
   // the recovered state, not from zero.
   const DigestTable want = [&] {
     EnginePool fresh(cell_, pruner_, base_config(1));
@@ -267,12 +277,12 @@ TEST_F(JournalRecoveryTest, RebuildShardRecoversExactlyItsOwnSessions) {
     return fresh.merged_digests();
   }();
   Driver d2(pool, pool.recovered_max_arrival_us() + 1);
-  d2.seq = d.seq;
+  d2.seq = seq;
   for (std::uint64_t i = kSteps; i < kSteps + 4; ++i) {
     for (SessionId sid = 1; sid <= kSessions; ++sid) d2.step(sid, i);
     d2.settle();
   }
-  expect_tables_equal(want, pool.merged_digests(), "served after rebuild");
+  expect_tables_equal(want, pool.merged_digests(), "served after reopen");
 }
 
 TEST_F(JournalRecoveryTest, LiveClockStartsAtRecoveredFloor) {

@@ -17,7 +17,9 @@
 
 // The real-time serving loop: persistent per-shard workers fed by
 // multi-producer submission, graceful shutdown with in-flight work,
-// and the SessionStore TTL/LRU eviction rules. None of the value
+// the per-request deadline (a request the server cannot serve in time
+// is answered `err timeout` without touching any session state), and
+// the SessionStore TTL/LRU eviction rules. None of the value
 // assertions depend on timing — wake jitter moves batch boundaries,
 // and the determinism guarantee makes boundaries value-neutral — so
 // these tests run the real clock and still expect bitwise equality.
@@ -240,6 +242,52 @@ TEST_F(LiveLoopTest, FlushAllServesWithoutWaitingForDeadlines) {
   EXPECT_TRUE(wait_until([&] { return responses.load() >= 3; }))
       << "flush_all must serve queued work without a deadline";
   server.shutdown();
+}
+
+TEST_F(LiveLoopTest, DeadlineAnswersTimeoutWithoutTouchingState) {
+  PoolConfig config;
+  config.shards = 1;
+  config.policy.max_batch = 8;
+  config.policy.max_wait_us = 100;
+  EnginePool pool(cell_, pruner_, config);
+
+  std::atomic<int> timed_out{0}, served{0};
+  const ResponseSink sink = [&](const Response& r) {
+    if (r.timed_out) {
+      EXPECT_TRUE(r.h.empty()) << "a timed-out response must carry no state";
+      EXPECT_EQ(r.row_digest, 0u);
+      timed_out.fetch_add(1);
+    } else {
+      served.fetch_add(1);
+    }
+  };
+  LiveConfig live;
+  live.deadline_us = 2'000;
+  LiveServer server(pool, sink, live);
+
+  // Park the worker at its pre-serve checkpoint, queue work, and let
+  // real time pass the deadline before releasing it.
+  server.worker(0).wedge_for_testing();
+  constexpr int kLate = 12;
+  for (int i = 0; i < kLate; ++i) {
+    ASSERT_TRUE(server.submit(7, 0).has_value());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.worker(0).release_wedge();
+  ASSERT_TRUE(wait_until(
+      [&] { return timed_out.load() + served.load() >= kLate; }));
+  server.shutdown();
+
+  EXPECT_EQ(timed_out.load(), kLate)
+      << "every request waited 10x its deadline — all must time out";
+  EXPECT_EQ(pool.shard(0).timeouts(), static_cast<std::uint64_t>(kLate));
+  // No state was touched: the session does not exist and nothing was
+  // folded into the digest table.
+  EXPECT_TRUE(pool.merged_digests().empty());
+  EXPECT_EQ(pool.shard(0).sessions().find(7), nullptr);
+  // The ledger still balances: a timeout answer is a response.
+  EXPECT_EQ(server.submitted(), static_cast<std::uint64_t>(kLate));
+  EXPECT_EQ(server.responded(), static_cast<std::uint64_t>(kLate));
 }
 
 TEST_F(LiveLoopTest, BackpressureShedsInsteadOfQueueingUnboundedly) {

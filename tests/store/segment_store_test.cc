@@ -320,33 +320,5 @@ TEST(SegmentStoreTest, LeftoverCompactionTmpIsDeletedOnOpen) {
   EXPECT_FALSE(env.exists("seg.tmp"));
 }
 
-TEST(SegmentStoreTest, PoisonedStoreRefusesWritesAndLeavesTheFileAlone) {
-  MemEnv env;
-  SegmentStore store(env, config(), kDh);
-  num::Matrix h, c;
-  fill_state(15, 0.5, h, c);
-  ASSERT_TRUE(store.spill(1, {}, h, c));
-  const std::vector<std::uint8_t> before = *env.bytes("seg");
-
-  // The rebuild fence (serve/pool.cc::rebuild_shard): after poison()
-  // this handle must never append or compact — the replacement store
-  // has reopened the same path and owns it.
-  store.poison();
-  EXPECT_TRUE(store.poisoned());
-  EXPECT_FALSE(store.spilling_enabled());
-  EXPECT_FALSE(store.spill(2, {}, h, c));
-  EXPECT_FALSE(store.compact());
-  EXPECT_EQ(*env.bytes("seg"), before) << "poisoned handle wrote";
-  EXPECT_FALSE(env.exists("seg.tmp"));
-
-  // Reads are unaffected (they touch only this handle's own view), and
-  // a successor recovers the committed record.
-  num::Matrix h2, c2;
-  EXPECT_EQ(store.restore_into(1, nullptr, h2, c2), RestoreResult::kOk);
-  expect_bits_equal(h, h2);
-  SegmentStore fresh(env, config(), kDh);
-  EXPECT_EQ(fresh.live_records(), 1u);
-}
-
 }  // namespace
 }  // namespace zss::store

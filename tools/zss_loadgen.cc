@@ -372,9 +372,9 @@ void run_resume_client(const Args& args, int client, ResumeTally& tally) {
           ++got;
           ++tally.acked;
         } else if (line.rfind("err ", 0) == 0) {
-          // timeout / unavailable: the step was dropped before touching
-          // state — resync and re-drive. Brief pause so a quarantined
-          // shard has time to come back.
+          // timeout / shed: the step was dropped before touching state
+          // — resync and re-drive. Brief pause so an overloaded shard
+          // has time to drain.
           ++tally.err_retries;
           resync = true;
           std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -37,6 +37,7 @@
 // live run).
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <condition_variable>
 #include <csignal>
@@ -45,10 +46,12 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -108,13 +111,39 @@ struct Args {
   bool dh_set = false, dx_set = false, threshold_set = false;
 };
 
+/// Parses a numeric flag value strictly: the whole string must be one
+/// base-10 number within [lo, hi] (NaN and inf included, they fail).
+/// atol-style parsing would read "5s" as 5, "abc" as 0 and "-1" as
+/// 2^64-1 for an unsigned flag.
+template <typename T>
+bool parse_number(const std::string& flag, const char* v,
+                  std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+                  T& out) {
+  const char* end = v + std::strlen(v);
+  T x{};
+  const auto [p, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || p != end || !(x >= lo && x <= hi)) {
+    std::fprintf(stderr, "invalid value in %s (want one number in range)\n",
+                 flag.c_str());
+    return false;
+  }
+  out = x;
+  return true;
+}
+
 bool parse(int argc, char** argv, Args& args) {
+  using Limits = std::numeric_limits<num::Index>;
+  constexpr num::Index kMax = Limits::max();
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&](const char* name) -> const char* {
       const std::string prefix = std::string("--") + name + "=";
       return a.rfind(prefix, 0) == 0 ? a.c_str() + prefix.size() : nullptr;
     };
+    // Every numeric flag goes through parse_number; a rejected value
+    // is a usage error.
+    bool ok = true;
     if (const char* v = value("trace")) {
       args.trace = v;
     } else if (const char* v = value("digests")) {
@@ -122,7 +151,7 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (const char* v = value("socket")) {
       args.socket_path = v;
     } else if (const char* v = value("tcp")) {
-      args.tcp_port = static_cast<int>(std::atol(v));
+      ok = parse_number(a, v, 0, 65535, args.tcp_port);
     } else if (const char* v = value("record")) {
       args.record_path = v;
     } else if (const char* v = value("spill-dir")) {
@@ -134,46 +163,49 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (const char* v = value("journal-sync")) {
       args.journal_sync = v;
     } else if (const char* v = value("journal-checkpoint-bytes")) {
-      args.journal_checkpoint_bytes = std::strtoull(v, nullptr, 10);
+      ok = parse_number(a, v, 1024, kMaxU64, args.journal_checkpoint_bytes);
     } else if (const char* v = value("deadline-us")) {
-      args.deadline_us = std::atoll(v);
+      ok = parse_number(a, v, 0, kMax, args.deadline_us);
     } else if (const char* v = value("worker-stall-ms")) {
-      args.worker_stall_ms = std::atoll(v);
+      // Bounded so the microsecond conversion cannot overflow.
+      ok = parse_number(a, v, 0, kMax / 1000, args.worker_stall_ms);
     } else if (const char* v = value("emit-trace")) {
-      args.emit_trace = std::atol(v);
+      ok = parse_number(a, v, 0, kMax, args.emit_trace);
     } else if (a == "--live") {
       args.live = true;
     } else if (const char* v = value("shards")) {
-      args.shards = std::atol(v);
+      ok = parse_number(a, v, 1, kMax, args.shards);
     } else if (const char* v = value("max-batch")) {
-      args.max_batch = std::atol(v);
+      ok = parse_number(a, v, 1, kMax, args.max_batch);
     } else if (const char* v = value("max-wait-us")) {
-      args.max_wait_us = std::atol(v);
+      ok = parse_number(a, v, 0, kMax, args.max_wait_us);
     } else if (const char* v = value("ttl-us")) {
-      args.ttl_us = std::atoll(v);
+      ok = parse_number(a, v, Limits::min(), kMax, args.ttl_us);  // <0: off
     } else if (const char* v = value("max-sessions")) {
-      args.max_sessions = std::atol(v);
+      ok = parse_number(a, v, 0, kMax, args.max_sessions);
     } else if (const char* v = value("max-queue")) {
-      args.max_queue = std::atol(v);
+      ok = parse_number(a, v, 0, kMax, args.max_queue);
     } else if (const char* v = value("dh")) {
-      args.dh = std::atol(v);
+      ok = parse_number(a, v, 1, kMax, args.dh);
       args.dh_set = true;
     } else if (const char* v = value("dx")) {
-      args.dx = std::atol(v);
+      ok = parse_number(a, v, 1, kMax, args.dx);
       args.dx_set = true;
     } else if (const char* v = value("sessions")) {
-      args.sessions = std::atol(v);
+      ok = parse_number(a, v, 1, kMax, args.sessions);
     } else if (const char* v = value("gap-us")) {
-      args.gap_us = std::atol(v);
+      ok = parse_number(a, v, 0, kMax, args.gap_us);
     } else if (const char* v = value("threshold")) {
-      args.threshold = static_cast<float>(std::atof(v));
+      ok = parse_number(a, v, 0.0f, std::numeric_limits<float>::max(),
+                        args.threshold);
       args.threshold_set = true;
     } else if (const char* v = value("seed")) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      ok = parse_number(a, v, 0, kMaxU64, args.seed);
     } else if (const char* v = value("model")) {
       args.model = v;
     } else if (const char* v = value("threads")) {
-      args.threads = static_cast<int>(std::atol(v));
+      ok = parse_number(a, v, 1, std::numeric_limits<int>::max(),
+                        args.threads);
     } else if (a == "--quant") {
       args.quant = true;
     } else if (a == "--help" || a == "-h") {
@@ -182,26 +214,7 @@ bool parse(int argc, char** argv, Args& args) {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return false;
     }
-  }
-  // Report bad values as usage errors here; the library layers treat
-  // them as contract violations and abort.
-  if (args.shards < 1 || args.max_batch < 1 || args.max_wait_us < 0 ||
-      args.dh < 1 ||
-      args.dx < 1 || args.sessions < 1 || args.gap_us < 0 ||
-      args.threshold < 0.0f || args.max_sessions < 0 || args.max_queue < 0) {
-    std::fprintf(stderr,
-                 "invalid flag value (need shards/max-batch/dh/dx/sessions "
-                 ">= 1, max-wait-us/gap-us/max-sessions/max-queue >= 0, "
-                 "threshold >= 0)\n");
-    return false;
-  }
-  if (args.tcp_port > 65535) {
-    std::fprintf(stderr, "--tcp port out of range: %d\n", args.tcp_port);
-    return false;
-  }
-  if (args.threads < 1) {
-    std::fprintf(stderr, "--threads must be >= 1\n");
-    return false;
+    if (!ok) return false;
   }
   if (args.max_sessions > 0 && args.max_sessions <= args.max_batch) {
     std::fprintf(stderr, "--max-sessions must exceed --max-batch (a whole "
@@ -273,18 +286,19 @@ bool parse(int argc, char** argv, Args& args) {
     std::fprintf(stderr, "--journal-sync must be batch or none\n");
     return false;
   }
-  if (args.journal_checkpoint_bytes < 1024) {
-    std::fprintf(stderr, "--journal-checkpoint-bytes must be >= 1024\n");
-    return false;
-  }
-  if (args.deadline_us < 0 || args.worker_stall_ms < 0) {
-    std::fprintf(stderr, "--deadline-us/--worker-stall-ms must be >= 0\n");
-    return false;
-  }
   if (!args.live && (args.deadline_us > 0 || args.worker_stall_ms > 0)) {
     std::fprintf(stderr, "--deadline-us/--worker-stall-ms only apply to "
                          "--live (replay re-serves exactly the recorded "
                          "requests)\n");
+    return false;
+  }
+  // The watchdog aborts the process and relies on the journal restart
+  // to recover; without a journal that restart would silently reset
+  // every session.
+  if (args.worker_stall_ms > 0 && args.durability != "journal") {
+    std::fprintf(stderr, "--worker-stall-ms requires --durability=journal "
+                         "(a wedged worker aborts the process, and only "
+                         "the journal restart recovers committed state)\n");
     return false;
   }
   // A worker sleeping toward its max-wait deadline legitimately
@@ -324,8 +338,10 @@ void usage() {
       "                 [--tcp=PORT] [--record=FILE] [--max-queue=N]\n"
       "                 [--deadline-us=U] [--worker-stall-ms=M]\n"
       "                 (--deadline-us answers `err timeout` past the\n"
-      "                 deadline; --worker-stall-ms arms the shard watchdog\n"
-      "                 that restarts wedged workers from the journal)\n"
+      "                 deadline; --worker-stall-ms arms the watchdog: a\n"
+      "                 worker holding work whose heartbeat is older than\n"
+      "                 M ms aborts the process, and a restart recovers\n"
+      "                 from the journal — needs --durability=journal)\n"
       "                 (stdin/stdout by default; --socket/--tcp start the\n"
       "                 multiplexed front end serving any number of\n"
       "                 concurrent clients — docs/serving.md; --tcp=0 picks\n"
@@ -691,20 +707,13 @@ int finish_live(const serve::LiveServer& server,
   }
   print_digests(digests, args.digests_path,
                 args.max_sessions > 0 && args.spill_dir.empty());
-  if (server.restarts() > 0) {
+  // The live ledger: every accepted request was answered (ok or err
+  // timeout) — nothing silently vanishes, nothing is answered twice.
+  if (server.responded() != server.submitted()) {
     std::fprintf(stderr,
-                 "zss_serve: %" PRIu64 " worker restart(s); %" PRIu64
-                 " accepted request(s) abandoned mid-restart (clients "
-                 "re-drive them via sync/pos)\n",
-                 server.restarts(), server.abandoned());
-  }
-  // The live ledger: every accepted request was either answered (ok or
-  // err timeout) or lost to a worker restart — nothing silently
-  // vanishes, nothing is answered twice.
-  if (server.responded() + server.abandoned() != server.submitted()) {
-    std::fprintf(stderr, "zss_serve: %" PRIu64 " submitted but %" PRIu64
-                         " responses + %" PRIu64 " abandoned\n",
-                 server.submitted(), server.responded(), server.abandoned());
+                 "zss_serve: %" PRIu64 " submitted but %" PRIu64
+                 " responses\n",
+                 server.submitted(), server.responded());
     return 1;
   }
   return 0;
@@ -859,21 +868,14 @@ int run_live(const Args& args) {
       continue;
     }
     if (cmd.op == serve::CommandLine::Op::kSync) {
-      serve::SessionDigest d;
-      server.with_stable_topology([&] {
-        d = pool.shard(pool.shard_of(cmd.session))
-                .sessions()
-                .digest_of(cmd.session);
-      });
-      out.push(serve::format_pos(cmd.session, d));
+      out.push(serve::format_pos(cmd.session,
+                                 pool.shard(pool.shard_of(cmd.session))
+                                     .sessions()
+                                     .digest_of(cmd.session)));
       continue;
     }
-    serve::SubmitStatus status = serve::SubmitStatus::kOk;
-    if (!server.submit(cmd.session, cmd.token, 0, &status).has_value()) {
-      out.push(serve::format_error(
-          status == serve::SubmitStatus::kUnavailable
-              ? "unavailable, shard restarting"
-              : "overloaded, request shed"));
+    if (!server.submit(cmd.session, cmd.token).has_value()) {
+      out.push(serve::format_error("overloaded, request shed"));
     }
   }
   std::free(line);
