@@ -22,7 +22,12 @@
 // (and the worst-case batch service time). The constructor enforces
 // nothing — the caller knows its policy — but zss_serve refuses a
 // stall bound below its batcher max-wait. An idle worker (inflight ==
-// 0) never trips the watchdog no matter how long it sleeps.
+// 0) never trips the watchdog no matter how long it sleeps, and the
+// submission that ends its idle spell stamps its heartbeat, so the
+// stall window starts there (ShardWorker::submit). A checkpoint runs
+// on the worker thread with no stamp, so `stall_ms` must also exceed
+// the longest per-shard checkpoint (docs/serving.md "Wedged workers"
+// gives measured times).
 #pragma once
 
 #include <condition_variable>

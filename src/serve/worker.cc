@@ -63,7 +63,16 @@ bool ShardWorker::submit(const Request& r) {
       return false;
     }
     inbox_.push_back(r);
-    inflight_.fetch_add(1, std::memory_order_relaxed);
+    // An idle worker's heartbeat is as old as its idle spell, and it
+    // stamps a fresh one only after it wakes. Stamp on its behalf
+    // before publishing the first in-flight request (release; the
+    // watchdog reads inflight with acquire), so the stall window
+    // starts at this submission, not at the worker's last wakeup.
+    // inflight_ only grows under mu_, so 0 here means 0 -> 1.
+    if (inflight_.load(std::memory_order_relaxed) == 0) {
+      heartbeat_us_.store(mono_now_us(), std::memory_order_relaxed);
+    }
+    inflight_.fetch_add(1, std::memory_order_release);
   }
   cv_.notify_one();
   return true;

@@ -131,17 +131,21 @@ class ShardWorker {
 
   /// Monotonic stamp (mono_now_us timebase) of the worker's last sign
   /// of life: loop iteration, settle-pass batch boundary, or response
-  /// delivery. The watchdog's liveness signal: a worker with queued
-  /// work whose heartbeat stops advancing is wedged — and because the
-  /// stamp advances per *response*, a healthy worker grinding through
-  /// an arbitrarily deep backlog never reads as wedged.
+  /// delivery — or the submission that ended an idle spell, stamped
+  /// by submit() on the worker's behalf. The watchdog's liveness
+  /// signal: a worker with queued work whose heartbeat stops advancing
+  /// is wedged — and because the stamp advances per *response*, a
+  /// healthy worker grinding through an arbitrarily deep backlog never
+  /// reads as wedged.
   std::int64_t heartbeat_us() const {
     return heartbeat_us_.load(std::memory_order_relaxed);
   }
 
-  /// Requests accepted but not yet responded to.
+  /// Requests accepted but not yet responded to. Acquire: a reader
+  /// that sees a submission's increment also sees the heartbeat that
+  /// submit() stamped before it (see submit()).
   num::Index inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
+    return inflight_.load(std::memory_order_acquire);
   }
 
   /// Test hooks: park the worker thread at its pre-serve checkpoint (a
@@ -164,6 +168,9 @@ class ShardWorker {
   std::vector<Request> taking_;  // worker-private swap target
   // Accepted minus responded. Incremented under mu_ on submit, but
   // atomic so the watchdog and the delivery path touch it lock-free.
+  // A 0 -> 1 increment first stamps heartbeat_us_ (release/acquire
+  // pair with inflight()), so a just-woken idle worker never reads as
+  // wedged.
   std::atomic<num::Index> inflight_{0};
   bool stop_ = false;
   bool flush_ = false;

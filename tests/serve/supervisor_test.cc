@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -113,6 +116,51 @@ TEST_F(SupervisorTest, IdleAndHealthyWorkersAreNeverAborted) {
   EXPECT_EQ(server.submitted(), server.responded());
 }
 
+TEST_F(SupervisorTest, SubmissionRestartsAStaleIdleWorkersStallWindow) {
+  // An idle worker's heartbeat ages without bound, and the worker stamps
+  // a fresh one only after it wakes for new work. A watchdog poll in
+  // that wake-up gap reads inflight > 0 next to the idle-old heartbeat,
+  // so the submission itself must restart the stall window. The wedge
+  // hook stretches the gap on purpose: the worker parks empty-handed,
+  // its heartbeat goes stale, one request arrives, and the worker stays
+  // parked for well under the stall window.
+  PoolConfig config;
+  config.shards = 1;
+  config.policy.max_wait_us = 100;
+  EnginePool pool(cell_, pruner_, config);
+  std::atomic<int> served{0};
+  LiveServer server(pool, [&](const Response&) { served.fetch_add(1); });
+  SupervisorConfig sup;
+  sup.stall_ms = 500;
+  Supervisor supervisor(server, sup);
+  supervisor.start();
+
+  ShardWorker& worker = server.worker(0);
+  // Let the worker settle into its idle wait, then wake it with a flush
+  // (no work): its only stamp is that wakeup's, and then it parks.
+  ASSERT_TRUE(wait_until([&] { return all_heartbeats_stale(server, 0); }));
+  worker.wedge_for_testing();
+  const std::int64_t idle_stamp = worker.heartbeat_us();
+  worker.request_flush();
+  ASSERT_TRUE(wait_until([&] { return worker.heartbeat_us() != idle_stamp; }));
+  ASSERT_TRUE(wait_until([&] {
+    return all_heartbeats_stale(server, sup.stall_ms);
+  }));
+
+  ASSERT_TRUE(server.submit(1, token_at(1, 0, cell_.input_dim())).has_value());
+  // Ten watchdog polls with inflight == 1 while the worker is parked:
+  // without the submission's stamp the first one would abort.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(10 * Supervisor::kPollMs));
+  worker.release_wedge();
+  ASSERT_TRUE(wait_until([&] { return served.load() == 1; }));
+  supervisor.stop();
+  server.shutdown();
+
+  // Reaching this line is the verdict: the watchdog did not abort.
+  EXPECT_EQ(server.submitted(), server.responded());
+}
+
 TEST_F(SupervisorTest, SlowSinkDeepBacklogIsBusyNotWedged) {
   // A healthy worker grinding a backlog through a slow sink can spend
   // far longer than the stall window inside ONE settle pass. The
@@ -168,11 +216,22 @@ TEST_F(SupervisorTest, SlowSinkDeepBacklogIsBusyNotWedged) {
 TEST_F(SupervisorTest, WedgedWorkerAbortsAndJournalRestartRecovers) {
   // The child process re-executes this body from the top (threadsafe
   // death tests re-run the test binary), so the journal dir must be the
-  // same path in both processes.
+  // same path in both processes. The parent names it after its own pid,
+  // so concurrent runs of this binary never share it, and hands it to
+  // the child through the environment.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const std::string dir = ::testing::TempDir() + "zss_supervisor_abort_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  constexpr const char* kDirEnv = "ZSS_SUPERVISOR_ABORT_TEST_DIR";
+  const char* inherited = std::getenv(kDirEnv);
+  const std::string dir =
+      inherited != nullptr
+          ? std::string(inherited)
+          : ::testing::TempDir() + "zss_supervisor_abort_test_" +
+                std::to_string(::getpid());
+  if (inherited == nullptr) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ::setenv(kDirEnv, dir.c_str(), /*overwrite=*/1);
+  }
 
   PoolConfig config;
   config.shards = 2;
@@ -270,6 +329,7 @@ TEST_F(SupervisorTest, WedgedWorkerAbortsAndJournalRestartRecovers) {
         << "the uninterrupted recurrence";
   }
   std::filesystem::remove_all(dir);
+  ::unsetenv(kDirEnv);
 }
 
 }  // namespace

@@ -341,7 +341,8 @@ void usage() {
       "                 deadline; --worker-stall-ms arms the watchdog: a\n"
       "                 worker holding work whose heartbeat is older than\n"
       "                 M ms aborts the process, and a restart recovers\n"
-      "                 from the journal — needs --durability=journal)\n"
+      "                 from the journal — needs --durability=journal;\n"
+      "                 M must exceed a shard's longest checkpoint)\n"
       "                 (stdin/stdout by default; --socket/--tcp start the\n"
       "                 multiplexed front end serving any number of\n"
       "                 concurrent clients — docs/serving.md; --tcp=0 picks\n"
