@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "num/activations.h"
 #include "num/kernels.h"
 
 namespace zss::core {
@@ -102,18 +101,10 @@ void SparseLstmEngine::finish_step(num::Matrix& pre,
   const num::Index dh = cell_->hidden_dim();
   ZSS_EXPECTS(h.rows() == B && h.cols() == dh);
   ZSS_EXPECTS(c.rows() == B && c.cols() == dh);
+  // c aliases c_prev on every call; tanh(c) is staged in h itself.
   for (num::Index r = 0; r < B; ++r) {
-    auto row = pre.row(r);
-    auto cp = c_prev.row(r);
-    for (num::Index j = 0; j < dh; ++j) {
-      const float f = num::sigmoid(row[static_cast<std::size_t>(j)]);
-      const float i = num::sigmoid(row[static_cast<std::size_t>(dh + j)]);
-      const float o = num::sigmoid(row[static_cast<std::size_t>(2 * dh + j)]);
-      const float g = num::tanh_act(row[static_cast<std::size_t>(3 * dh + j)]);
-      const float cj = f * cp[static_cast<std::size_t>(j)] + i * g;
-      c(r, j) = cj;
-      h(r, j) = o * num::tanh_act(cj);
-    }
+    nn::lstm_pointwise(pre.row(r), c_prev.row(r), c.row(r), h.row(r),
+                       h.row(r));
   }
   // Tap the dense h before pruning: the stacked model feeds the next
   // layer (and the classifier) the unpruned state — only the recurrence

@@ -6,6 +6,26 @@
 
 namespace zss::nn {
 
+void lstm_pointwise(std::span<float> gates, std::span<const float> c_prev,
+                    std::span<float> c, std::span<float> tanh_c,
+                    std::span<float> h) {
+  const std::size_t n = c.size();
+  ZSS_EXPECTS(gates.size() == 4 * n && c_prev.size() == n &&
+              tanh_c.size() == n && h.size() == n);
+  num::sigmoid(gates.first(3 * n), gates.first(3 * n));
+  num::tanh_act(gates.subspan(3 * n), gates.subspan(3 * n));
+  const float* f = gates.data();
+  const float* i = f + n;
+  const float* o = i + n;
+  const float* g = o + n;
+  // One madd, so no compiler contraction can change the rounding.
+  for (std::size_t j = 0; j < n; ++j) {
+    c[j] = num::madd(f[j], c_prev[j], i[j] * g[j]);
+  }
+  num::tanh_act(c, tanh_c);
+  for (std::size_t j = 0; j < n; ++j) h[j] = o[j] * tanh_c[j];
+}
+
 LstmCell::LstmCell(num::Index input_dim, num::Index hidden_dim, num::Rng& rng,
                    float forget_bias)
     : dx_(input_dim),
@@ -49,19 +69,6 @@ void LstmCell::forward(const num::Matrix& x, const num::Matrix& h_prev,
   num::axpy(1.0f, pre_h.flat(), pre.flat());
   num::add_bias_rows(pre, b_.value.flat());
 
-  // Activate in place: blocks [f, i, o] -> sigmoid, [g] -> tanh.
-  for (num::Index r = 0; r < batch; ++r) {
-    auto row = pre.row(r);
-    for (num::Index j = 0; j < 3 * dh_; ++j) {
-      row[static_cast<std::size_t>(j)] =
-          num::sigmoid(row[static_cast<std::size_t>(j)]);
-    }
-    for (num::Index j = 3 * dh_; j < 4 * dh_; ++j) {
-      row[static_cast<std::size_t>(j)] =
-          num::tanh_act(row[static_cast<std::size_t>(j)]);
-    }
-  }
-
   // Snapshot the step inputs before the elementwise update can overwrite
   // an aliased previous state.
   if (cache != nullptr) {
@@ -78,23 +85,10 @@ void LstmCell::forward(const num::Matrix& x, const num::Matrix& h_prev,
   num::Matrix& tanh_c =
       cache != nullptr ? cache->tanh_c : ws_.uninit(kTanhC, batch, dh_);
   if (cache != nullptr) tanh_c.resize(batch, dh_);
+  // Activates the gates in place (training caches them activated).
   for (num::Index r = 0; r < batch; ++r) {
-    auto gates = pre.row(r);
-    auto cp = c_prev.row(r);
-    auto c = c_out.row(r);
-    auto h = h_out.row(r);
-    auto tc = tanh_c.row(r);
-    for (num::Index j = 0; j < dh_; ++j) {
-      const float f = gates[static_cast<std::size_t>(j)];
-      const float i = gates[static_cast<std::size_t>(dh_ + j)];
-      const float o = gates[static_cast<std::size_t>(2 * dh_ + j)];
-      const float g = gates[static_cast<std::size_t>(3 * dh_ + j)];
-      const float cj = f * cp[static_cast<std::size_t>(j)] + i * g;
-      c[static_cast<std::size_t>(j)] = cj;
-      const float t = num::tanh_act(cj);
-      tc[static_cast<std::size_t>(j)] = t;
-      h[static_cast<std::size_t>(j)] = o * t;
-    }
+    lstm_pointwise(pre.row(r), c_prev.row(r), c_out.row(r), tanh_c.row(r),
+                   h_out.row(r));
   }
 
   if (cache != nullptr) cache->c = c_out;

@@ -12,6 +12,7 @@
 // the dense state.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/parameter.h"
@@ -31,6 +32,17 @@ struct LstmStepCache {
   num::Matrix c;        // (B x dh) new cell state
   num::Matrix tanh_c;   // (B x dh)
 };
+
+/// The elementwise half of one step for one batch row, shared by
+/// training (LstmCell::forward) and inference
+/// (core::SparseLstmEngine): activates the pre-activations `gates` =
+/// [f | i | o | g] in place through the backend activation slots
+/// (sigmoid x3, tanh), then c = madd(f, c_prev, i * g),
+/// tanh_c = tanh(c), h = o * tanh_c. c may alias c_prev and tanh_c may
+/// alias h (element j is read before it is written).
+void lstm_pointwise(std::span<float> gates, std::span<const float> c_prev,
+                    std::span<float> c, std::span<float> tanh_c,
+                    std::span<float> h);
 
 /// Result of one forward step.
 struct LstmStepOutput {

@@ -2,7 +2,31 @@
 
 #include <algorithm>
 
+#include "num/simd/backend.h"
+
 namespace zss::num {
+
+namespace {
+
+// The backend whose activation slots serve this call: the active one,
+// or the scalar table when it leaves the slots empty (the per-call
+// fallback the int8 slots use, num/kernels.cc).
+const simd::KernelBackend& activation_backend() {
+  const simd::KernelBackend& active = simd::active_backend();
+  return active.implemented_activations() ? active : simd::kScalarBackend;
+}
+
+}  // namespace
+
+void sigmoid(std::span<const float> x, std::span<float> y) {
+  ZSS_EXPECTS(x.size() == y.size());
+  activation_backend().sigmoid(x.data(), y.data(), x.size());
+}
+
+void tanh_act(std::span<const float> x, std::span<float> y) {
+  ZSS_EXPECTS(x.size() == y.size());
+  activation_backend().tanh(x.data(), y.data(), x.size());
+}
 
 void softmax(std::span<float> logits) {
   ZSS_EXPECTS(!logits.empty());

@@ -17,6 +17,7 @@
 // to run if the base translation units were built without FMA
 // contraction (madd_is_fused() == false) — mixing fused and unfused
 // chains is exactly the asymmetry bug PR 1 fixed.
+#include "num/activations.h"
 #include "num/kernels.h"
 #include "num/simd/backend.h"
 #include "num/simd/multi_schedule.h"
@@ -617,6 +618,95 @@ void sparse_accum_rows_multi_i8_avx2(const std::int8_t* __restrict packed,
                                                  values, out, batch, n);
 }
 
+// --- gate activations ------------------------------------------------
+// Eight lanes of the scalar sequence in num/activations.h, op for op:
+// _mm256_round_ps(nearest) is std::nearbyint, _mm256_fmadd_ps is
+// num::madd, _mm256_min_ps(a, c) returns c for a NaN a exactly like
+// std::min(c, a), and the 2^n scale is the same integer add on the
+// exponent bits. NaN lanes are replaced by the input at the end.
+
+inline __m256 exp_reduced8(__m256 t) {
+  const __m256 n =
+      _mm256_round_ps(_mm256_mul_ps(t, _mm256_set1_ps(act::kLog2e)),
+                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m256 neg_n = _mm256_xor_ps(n, _mm256_set1_ps(-0.0f));
+  __m256 r = _mm256_fmadd_ps(neg_n, _mm256_set1_ps(act::kLn2Hi), t);
+  r = _mm256_fmadd_ps(neg_n, _mm256_set1_ps(act::kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(act::kExpPoly[0]);
+  for (int k = 1; k < 6; ++k) {
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(act::kExpPoly[k]));
+  }
+  const __m256 one = _mm256_set1_ps(1.0f);
+  p = _mm256_fmadd_ps(p, r, one);
+  p = _mm256_fmadd_ps(p, r, one);
+  const __m256i scale = _mm256_slli_epi32(_mm256_cvtps_epi32(n), 23);
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(p), scale));
+}
+
+inline __m256 keep_nan8(__m256 x, __m256 y) {
+  return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+inline __m256 sigmoid8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 a = _mm256_min_ps(_mm256_andnot_ps(sign, x),
+                                 _mm256_set1_ps(act::kSigmoidClamp));
+  const __m256 z = exp_reduced8(_mm256_xor_ps(a, sign));
+  // blendv keys on the sign bit: z/(1+z) where x's is set, else 1/(1+z).
+  const __m256 y =
+      _mm256_div_ps(_mm256_blendv_ps(one, z, x), _mm256_add_ps(one, z));
+  return keep_nan8(x, y);
+}
+
+inline __m256 tanh8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 a = _mm256_andnot_ps(sign, x);
+  const __m256 z = _mm256_mul_ps(a, a);
+  __m256 q = _mm256_set1_ps(act::kTanhPoly[0]);
+  for (int k = 1; k < 5; ++k) {
+    q = _mm256_fmadd_ps(q, z, _mm256_set1_ps(act::kTanhPoly[k]));
+  }
+  const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(q, z), a, a);
+  const __m256 e = exp_reduced8(_mm256_mul_ps(
+      two, _mm256_min_ps(a, _mm256_set1_ps(act::kTanhClamp))));
+  const __m256 large =
+      _mm256_sub_ps(one, _mm256_div_ps(two, _mm256_add_ps(e, one)));
+  const __m256 y = _mm256_blendv_ps(
+      large, small,
+      _mm256_cmp_ps(a, _mm256_set1_ps(act::kTanhSmall), _CMP_LT_OQ));
+  // copysign(y, x)
+  const __m256 signed_y =
+      _mm256_or_ps(_mm256_andnot_ps(sign, y), _mm256_and_ps(x, sign));
+  return keep_nan8(x, signed_y);
+}
+
+// Full vectors first (each block is loaded before it is stored, so y may
+// equal x); the tail runs the same vector sequence on a padded copy.
+template <__m256 (*F)(__m256)>
+void map8(const float* x, float* y, std::size_t n) {
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    _mm256_storeu_ps(y + k, F(_mm256_loadu_ps(x + k)));
+  }
+  if (k == n) return;
+  alignas(32) float tail[8] = {};
+  std::memcpy(tail, x + k, (n - k) * sizeof(float));
+  _mm256_store_ps(tail, F(_mm256_load_ps(tail)));
+  std::memcpy(y + k, tail, (n - k) * sizeof(float));
+}
+
+void sigmoid_avx2(const float* x, float* y, std::size_t n) {
+  map8<sigmoid8>(x, y, n);
+}
+
+void tanh_avx2(const float* x, float* y, std::size_t n) {
+  map8<tanh8>(x, y, n);
+}
+
 }  // namespace
 
 const KernelBackend kAvx2Backend = {
@@ -634,6 +724,8 @@ const KernelBackend kAvx2Backend = {
     gemm_a_bt_i8_avx2,
     sparse_accum_rows_i8_avx2,
     sparse_accum_rows_multi_i8_avx2,
+    sigmoid_avx2,
+    tanh_avx2,
 };
 
 }  // namespace zss::num::simd

@@ -109,12 +109,25 @@ struct KernelBackend {
                                      std::int32_t* out, Index batch,
                                      Index n) = nullptr;
 
+  // --- fp32 gate activations -----------------------------------------
+  // Elementwise y[k] = f(x[k]) over a span, running exactly the scalar
+  // operation sequence of num::sigmoid / num::tanh_act (num/activations.h)
+  // in every lane, the tail included, so each slot is bit-identical to
+  // the scalar functions for every non-NaN input (NaN in gives NaN out).
+  // y may equal x (in place) but must not partially overlap it. Empty
+  // slots fall back to the scalar table per call, as the int8 slots do.
+  void (*sigmoid)(const float* x, float* y, std::size_t n) = nullptr;
+  void (*tanh)(const float* x, float* y, std::size_t n) = nullptr;
+
   /// True when the kernel table is populated (false for stubs).
   bool implemented() const { return gemm_rows != nullptr; }
   /// True when the int8 kernel table is populated. Tracked separately so
   /// dispatch can fall back slot-by-slot instead of rejecting a backend
   /// that only grew the fp32 table.
   bool implemented_i8() const { return gemm_a_bt_i8 != nullptr; }
+  /// True when the activation slots are populated (same per-call
+  /// fallback rule as the int8 table).
+  bool implemented_activations() const { return sigmoid != nullptr; }
   /// True when this backend can actually run here.
   bool usable() const { return implemented() && available(); }
 };

@@ -8,6 +8,7 @@
 // serial ascending-k chain, with a 4x4 in-register transpose where the
 // row-major layout runs along the wrong axis (see docs/exactness.md).
 // vfmaq_f32 rounds each lane exactly like scalar fmaf.
+#include "num/activations.h"
 #include "num/kernels.h"
 #include "num/simd/backend.h"
 #include "num/simd/multi_schedule.h"
@@ -469,6 +470,88 @@ void sparse_accum_rows_multi_i8_neon(const std::int8_t* __restrict packed,
                                                  values, out, batch, n);
 }
 
+// --- gate activations ------------------------------------------------
+// Four lanes of the scalar sequence in num/activations.h, op for op:
+// vrndnq_f32 is std::nearbyint (ties to even), vfmaq_f32 is num::madd,
+// vminnmq_f32(a, c) returns c for a NaN a like std::min(c, a), and the
+// 2^n scale is the same integer add on the exponent bits. NaN lanes are
+// replaced by the input at the end.
+
+inline float32x4_t exp_reduced4(float32x4_t t) {
+  const float32x4_t n = vrndnq_f32(vmulq_f32(t, vdupq_n_f32(act::kLog2e)));
+  const float32x4_t neg_n = vnegq_f32(n);
+  float32x4_t r = vfmaq_f32(t, neg_n, vdupq_n_f32(act::kLn2Hi));
+  r = vfmaq_f32(r, neg_n, vdupq_n_f32(act::kLn2Lo));
+  float32x4_t p = vdupq_n_f32(act::kExpPoly[0]);
+  for (int k = 1; k < 6; ++k) {
+    p = vfmaq_f32(vdupq_n_f32(act::kExpPoly[k]), p, r);
+  }
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  p = vfmaq_f32(one, p, r);
+  p = vfmaq_f32(one, p, r);
+  const int32x4_t scale = vshlq_n_s32(vcvtq_s32_f32(n), 23);
+  return vreinterpretq_f32_s32(vaddq_s32(vreinterpretq_s32_f32(p), scale));
+}
+
+inline float32x4_t keep_nan4(float32x4_t x, float32x4_t y) {
+  return vbslq_f32(vceqq_f32(x, x), y, x);
+}
+
+inline float32x4_t sigmoid4(float32x4_t x) {
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  const float32x4_t a =
+      vminnmq_f32(vabsq_f32(x), vdupq_n_f32(act::kSigmoidClamp));
+  const float32x4_t z = exp_reduced4(vnegq_f32(a));
+  // z/(1+z) where x's sign bit is set, else 1/(1+z).
+  const uint32x4_t negative =
+      vreinterpretq_u32_s32(vshrq_n_s32(vreinterpretq_s32_f32(x), 31));
+  const float32x4_t y =
+      vdivq_f32(vbslq_f32(negative, z, one), vaddq_f32(one, z));
+  return keep_nan4(x, y);
+}
+
+inline float32x4_t tanh4(float32x4_t x) {
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  const float32x4_t two = vdupq_n_f32(2.0f);
+  const float32x4_t a = vabsq_f32(x);
+  const float32x4_t z = vmulq_f32(a, a);
+  float32x4_t q = vdupq_n_f32(act::kTanhPoly[0]);
+  for (int k = 1; k < 5; ++k) {
+    q = vfmaq_f32(vdupq_n_f32(act::kTanhPoly[k]), q, z);
+  }
+  const float32x4_t small = vfmaq_f32(a, vmulq_f32(q, z), a);
+  const float32x4_t e = exp_reduced4(
+      vmulq_f32(two, vminnmq_f32(a, vdupq_n_f32(act::kTanhClamp))));
+  const float32x4_t large =
+      vsubq_f32(one, vdivq_f32(two, vaddq_f32(e, one)));
+  const float32x4_t y =
+      vbslq_f32(vcltq_f32(a, vdupq_n_f32(act::kTanhSmall)), small, large);
+  // copysign(y, x): the sign bit from x, every other bit from y.
+  const float32x4_t signed_y = vbslq_f32(vdupq_n_u32(0x80000000u), x, y);
+  return keep_nan4(x, signed_y);
+}
+
+// Full vectors first (each block is loaded before it is stored, so y may
+// equal x); the tail runs the same vector sequence on a padded copy.
+template <float32x4_t (*F)(float32x4_t)>
+void map4(const float* x, float* y, std::size_t n) {
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) vst1q_f32(y + k, F(vld1q_f32(x + k)));
+  if (k == n) return;
+  float tail[4] = {};
+  std::memcpy(tail, x + k, (n - k) * sizeof(float));
+  vst1q_f32(tail, F(vld1q_f32(tail)));
+  std::memcpy(y + k, tail, (n - k) * sizeof(float));
+}
+
+void sigmoid_neon(const float* x, float* y, std::size_t n) {
+  map4<sigmoid4>(x, y, n);
+}
+
+void tanh_neon(const float* x, float* y, std::size_t n) {
+  map4<tanh4>(x, y, n);
+}
+
 }  // namespace
 
 const KernelBackend kNeonBackend = {
@@ -486,6 +569,8 @@ const KernelBackend kNeonBackend = {
     gemm_a_bt_i8_neon,
     sparse_accum_rows_i8_neon,
     sparse_accum_rows_multi_i8_neon,
+    sigmoid_neon,
+    tanh_neon,
 };
 
 }  // namespace zss::num::simd

@@ -4,6 +4,7 @@
 // feed one output element always run in ascending position order
 // through num::madd, which is the whole exactness contract
 // (docs/exactness.md).
+#include "num/activations.h"
 #include "num/kernels.h"
 #include "num/simd/backend.h"
 #include "num/simd/multi_schedule.h"
@@ -341,6 +342,14 @@ void sparse_accum_rows_multi_i8_scalar(const std::int8_t* __restrict packed,
                                                  values, out, batch, n);
 }
 
+void sigmoid_scalar(const float* x, float* y, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) y[k] = sigmoid(x[k]);
+}
+
+void tanh_scalar(const float* x, float* y, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) y[k] = tanh_act(x[k]);
+}
+
 bool always_available() { return true; }
 
 }  // namespace
@@ -359,6 +368,8 @@ const KernelBackend kScalarBackend = {
     gemm_a_bt_i8_scalar,
     sparse_accum_rows_i8_scalar,
     sparse_accum_rows_multi_i8_scalar,
+    sigmoid_scalar,
+    tanh_scalar,
 };
 
 }  // namespace zss::num::simd

@@ -4,12 +4,22 @@
 
 namespace zss::quant {
 
-FixedAccumulator::FixedAccumulator(int bits, int pre_shift)
-    : bits_(bits),
-      pre_shift_(pre_shift),
-      max_((std::int32_t{1} << (bits - 1)) - 1),
-      min_(-(std::int32_t{1} << (bits - 1))) {
+namespace {
+
+// Checked before the member initializers shift by it: 1 << (bits - 1)
+// is undefined for a width outside the 32-bit word.
+int checked_bits(int bits) {
   ZSS_EXPECTS(bits >= 2 && bits <= 30);
+  return bits;
+}
+
+}  // namespace
+
+FixedAccumulator::FixedAccumulator(int bits, int pre_shift)
+    : bits_(checked_bits(bits)),
+      pre_shift_(pre_shift),
+      max_((std::int32_t{1} << (bits_ - 1)) - 1),
+      min_(-(std::int32_t{1} << (bits_ - 1))) {
   ZSS_EXPECTS(pre_shift >= 0 && pre_shift <= 16);
 }
 

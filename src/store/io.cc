@@ -67,7 +67,8 @@ class MemFile final : public File {
   std::size_t write_at(std::uint64_t off, const void* data,
                        std::size_t n) override {
     if (off + n > data_->size()) data_->resize(off + n, 0);
-    std::memcpy(data_->data() + off, data, n);
+    // An empty file has no buffer: memcpy of 0 bytes to null is still UB.
+    if (n > 0) std::memcpy(data_->data() + off, data, n);
     return n;
   }
 

@@ -192,7 +192,10 @@ void SegmentStore::serialize_record(serve_id_t id, const RecordMeta& meta,
                          static_cast<std::uint16_t>(enc.entries[i].offset));
       p += 2;
     }
-    std::memcpy(buf.data() + p, enc.values.data(), kept * sizeof(float));
+    // An all-zero h keeps nothing and its values vector may be unallocated.
+    if (kept > 0) {
+      std::memcpy(buf.data() + p, enc.values.data(), kept * sizeof(float));
+    }
     p += kept * sizeof(float);
   } else {
     std::memcpy(buf.data() + p, h.data(), dh * sizeof(float));

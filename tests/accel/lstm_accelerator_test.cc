@@ -53,7 +53,9 @@ TEST_F(LstmAcceleratorTest, HiddenStateBoundedAndPruned) {
     EXPECT_LE(std::fabs(v), 1.0f);
     // Every stored value is 0 or at least the prune threshold (up to
     // one quantization step of slack).
-    if (v != 0.0f) EXPECT_GE(std::fabs(v), 0.2f - 1.5f / 127.0f);
+    if (v != 0.0f) {
+      EXPECT_GE(std::fabs(v), 0.2f - 1.5f / 127.0f);
+    }
   }
 }
 

@@ -57,7 +57,9 @@ TEST(WeightPrunerTest, MaskSurvivesRetrainingUpdates) {
   auto keep = mask.keep.flat();
   auto values = p.value.flat();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (keep[i] == 1) EXPECT_NE(values[i], 0.0f);
+    if (keep[i] == 1) {
+      EXPECT_NE(values[i], 0.0f);
+    }
   }
 }
 

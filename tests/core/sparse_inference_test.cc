@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "num/parallel.h"
 #include "num/rng.h"
+#include "num/simd/backend.h"
 
 // Global operator new instrumented for the zero-allocation contract:
 // counting every allocation in the binary lets the test assert that a
@@ -70,6 +72,44 @@ TEST_F(SparseInferenceTest, SparseStepMatchesDenseStepExactly) {
     // order of surviving terms matches.
     EXPECT_EQ(h_s, h_d) << "step " << t;
     EXPECT_EQ(c_s, c_d) << "step " << t;
+  }
+}
+
+TEST(SparseInferenceBackendTest, StateIsBitEqualAcrossBackends) {
+  // h and c after 20 steps must not depend on the kernel backend: the
+  // gate activations run one operation sequence in every backend, and
+  // dh = 13 leaves a tail in every vector width. Batch 1 and batch 3
+  // cover both recurrent paths.
+  for (const Index dh : {Index{13}, Index{64}}) {
+    for (const Index batch : {Index{1}, Index{3}}) {
+      Rng rng(7);
+      const nn::LstmCell cell(5, dh, rng);
+      const StatePruner pruner(PrunerConfig::fixed(0.05f));
+      Matrix h_ref;
+      Matrix c_ref;
+      for (const num::simd::KernelBackend* backend :
+           num::simd::available_backends()) {
+        num::simd::set_backend_for_testing(backend);
+        SparseLstmEngine engine(cell, pruner);
+        Matrix h(batch, dh, 0.0f);
+        Matrix c(batch, dh, 0.0f);
+        Rng inputs(11);  // the same 20 inputs under every backend
+        for (int t = 0; t < 20; ++t) {
+          engine.step(random_matrix(batch, 5, inputs, 2.0), h, c);
+        }
+        num::simd::set_backend_for_testing(nullptr);
+        if (h_ref.size() == 0) {
+          h_ref = h;
+          c_ref = c;
+          continue;
+        }
+        const auto bytes = static_cast<std::size_t>(h.size()) * sizeof(float);
+        EXPECT_EQ(std::memcmp(h.data(), h_ref.data(), bytes), 0)
+            << backend->name << " dh=" << dh << " batch=" << batch;
+        EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), bytes), 0)
+            << backend->name << " dh=" << dh << " batch=" << batch;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "num/activations.h"
 #include "num/kernels.h"
 #include "num/reference_kernels.h"
 #include "num/rng.h"
@@ -119,7 +120,36 @@ TEST_F(BackendDispatchTest, Int8SlotsAreAllOrNothingPerBackend) {
   // Every *implemented* backend in this repo carries the int8 table;
   // only the avx512 stub is allowed to lack it.
   for (const KernelBackend* b : registered_backends()) {
-    if (b->implemented()) EXPECT_TRUE(b->implemented_i8()) << b->name;
+    if (b->implemented()) {
+      EXPECT_TRUE(b->implemented_i8()) << b->name;
+    }
+  }
+}
+
+TEST_F(BackendDispatchTest, ImplementedBackendsCarryTheActivationSlots) {
+  for (const KernelBackend* b : registered_backends()) {
+    EXPECT_EQ(b->sigmoid != nullptr, b->tanh != nullptr) << b->name;
+    if (b->implemented()) {
+      EXPECT_TRUE(b->implemented_activations()) << b->name;
+    }
+  }
+}
+
+TEST_F(BackendDispatchTest, MissingActivationSlotsFallBackToScalar) {
+  KernelBackend gutted = kScalarBackend;
+  gutted.name = "gutted-no-activations";
+  gutted.sigmoid = nullptr;
+  gutted.tanh = nullptr;
+  ASSERT_FALSE(gutted.implemented_activations());
+  set_backend_for_testing(&gutted);
+  const std::vector<float> x = {-3.0f, -0.5f, 0.0f, 0.25f, 4.0f};
+  std::vector<float> s(x.size());
+  std::vector<float> t(x.size());
+  num::sigmoid(x, s);  // must not dispatch through a null slot
+  num::tanh_act(x, t);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    EXPECT_EQ(s[k], num::sigmoid(x[k]));
+    EXPECT_EQ(t[k], num::tanh_act(x[k]));
   }
 }
 

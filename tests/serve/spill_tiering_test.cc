@@ -111,9 +111,12 @@ TEST(SpillTieringTest, CappedWithSpillMatchesUncappedOracle) {
       store::MemEnv env;
       SessionTtl capped;
       capped.max_sessions = 6;  // 40 sessions over <= 6-per-shard: churn
-      const RunStats tiered =
-          run(cell, pruner, events, shards, /*max_batch=*/4, capped, &env,
-              "t" + std::to_string(variant++), encoded);
+      // Appended rather than "t" + to_string(...): GCC 12 reports a
+      // spurious -Wrestrict inside operator+(const char*, string&&).
+      std::string dir = "t";
+      dir += std::to_string(variant++);
+      const RunStats tiered = run(cell, pruner, events, shards,
+                                  /*max_batch=*/4, capped, &env, dir, encoded);
       expect_tables_equal(oracle.digests, tiered.digests);
       EXPECT_GT(tiered.spilled, 0u) << "cap never engaged: test is vacuous";
       EXPECT_GT(tiered.restored, 0u);

@@ -27,8 +27,8 @@
 // tables (.github/workflows/ci.yml, live-smoke).
 //
 //   zss_serve --live --socket=/tmp/zss.sock --tcp=9777 --record=r.txt &
-//   zss_loadgen --socket=/tmp/zss.sock --tcp=9777 --clients=64 \
-//               --steps=40 --lives=3 --rude=8 --quit
+//   zss_loadgen --socket=/tmp/zss.sock --tcp=9777 --clients=64
+//               --steps=40 --lives=3 --rude=8 --quit   (one command line)
 //
 // Exits 0 only if every check passed.
 #include <algorithm>
